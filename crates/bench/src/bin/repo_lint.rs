@@ -3,11 +3,12 @@
 //!
 //! 1. **No raw mutex unwraps.** `.lock().unwrap()` / `.lock().expect(` would
 //!    propagate poison panics through the serving stack; every lock must go
-//!    through `lock_unpoisoned` (crates/core/src/serve_pool.rs), which
-//!    recovers the guard instead.
+//!    through `unpoisoned` (crates/core/src/sync.rs), which recovers the
+//!    guard instead.
 //! 2. **No `unwrap()`/`expect(` in serving hot paths.** The serve loop, the
-//!    TCP transport and the worker pool must degrade with typed errors, not
-//!    panics; test modules (after `#[cfg(test)]`) are exempt.
+//!    TCP transport, the worker pool and the engine's request path must
+//!    degrade with typed errors, not panics; test modules (after
+//!    `#[cfg(test)]`) are exempt.
 //! 3. **No new `unsafe`.** The only sanctioned block is the signal-handler
 //!    FFI in crates/cli/src/net.rs; anything else needs a deliberate
 //!    allowlist change here.
@@ -26,6 +27,7 @@ use std::path::{Path, PathBuf};
 const HOT_PATH_FILES: &[&str] = &[
     "crates/cli/src/serve.rs",
     "crates/cli/src/net.rs",
+    "crates/core/src/engine.rs",
     "crates/core/src/serve_pool.rs",
 ];
 
@@ -92,7 +94,7 @@ fn lint_file(rel_path: &str, text: &str) -> Vec<String> {
         let code = strip_line_comment(line);
         if code.contains(".lock().unwrap()") || code.contains(".lock().expect(") {
             out.push(format!(
-                "{rel_path}:{n}: raw mutex lock (use lock_unpoisoned) — {}",
+                "{rel_path}:{n}: raw mutex lock (use sync::unpoisoned) — {}",
                 line.trim()
             ));
         }

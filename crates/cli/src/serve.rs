@@ -8,8 +8,10 @@
 //! exact same dispatch path (so their answers are bit-identical):
 //!
 //! * **stdin/stdout** (default): EOF on stdin ends the loop with a clean
-//!   exit. The local pipe gets *backpressure* — reads pause while the queue
-//!   is full — so piping a large request file never drops lines.
+//!   exit. The local pipe gets *backpressure*: a line that finds the queue
+//!   full blocks the reader in [`ServePool::submit_wait`](llmulator::ServePool::submit_wait)
+//!   until a worker frees space, so piping a large request file never drops
+//!   lines.
 //! * **TCP** (`--tcp ADDR`, see [`crate::net`]): many concurrent clients,
 //!   load-shedding with structured `overloaded` errors when the queue is
 //!   full, graceful drain on SIGTERM.
@@ -234,7 +236,7 @@ fn serve(args: &[String]) -> Result<ServeSummary, Error> {
                 "serve: model `{model_path}` loaded; one JSON request per line on stdin \
                  ({workers} worker(s), micro-batch up to {max_batch})"
             );
-            Ok(serve_stdin(pool, pool_config))
+            Ok(serve_stdin(pool))
         }
     };
     // Stop the background calibrator after the transport has drained: it
@@ -304,7 +306,7 @@ fn start_calibrator(
 /// The stdin/stdout transport: reads lines on this thread, dispatches them
 /// through the shared pool, and lets a sequencing writer thread keep stdout
 /// in request order. EOF (or `{"shutdown": true}`) drains and returns.
-fn serve_stdin(pool: ServePool, config: PoolConfig) -> ServeSummary {
+fn serve_stdin(pool: ServePool) -> ServeSummary {
     let (tx, rx) = mpsc::channel();
     let gone = Arc::new(AtomicBool::new(false));
     let transport = Arc::new(TransportStats::default());
@@ -319,7 +321,8 @@ fn serve_stdin(pool: ServePool, config: PoolConfig) -> ServeSummary {
     let direct_errors;
     {
         // Stdout is a local pipe, not a remote client: keep the unbounded
-        // channel (the reader's backpressure loop bounds it in practice).
+        // channel (the reader blocking on a full queue bounds it in
+        // practice).
         let mut dispatcher =
             Dispatcher::new(&pool, ResponseTx::Unbounded(tx), Arc::clone(&transport));
         let stdin = std::io::stdin();
@@ -329,12 +332,6 @@ fn serve_stdin(pool: ServePool, config: PoolConfig) -> ServeSummary {
                 // Stdout hung up (EPIPE): stop reading, drain, exit clean —
                 // `llmulator serve | head` must not error.
                 break;
-            }
-            // Stdin is a local pipe, not a remote client: pause reads while
-            // the queue is full (backpressure) instead of shedding, so
-            // piping a large request file never drops lines.
-            while pool.depth() >= config.max_queue {
-                std::thread::sleep(std::time::Duration::from_micros(200));
             }
             if !dispatcher.dispatch(&line) {
                 break;
@@ -415,10 +412,12 @@ pub(crate) fn classify_line(line: &str) -> Parsed {
     }
 }
 
-/// How each transport hands responses to its writer thread. Stdin keeps an
-/// unbounded channel (the reader applies backpressure); TCP bounds the
-/// queue so a client that stops reading is condemned (`gone`) once its
-/// queue fills, instead of buffering responses without limit.
+/// How each transport hands responses to its writer thread — and so how a
+/// full pool queue is handled. Stdin keeps an unbounded channel and its
+/// reader blocks on a full pool queue (backpressure); TCP bounds the
+/// channel so a client that stops reading is condemned (`gone`) once it
+/// fills, instead of buffering responses without limit, and a full pool
+/// queue sheds its requests.
 #[derive(Clone)]
 pub(crate) enum ResponseTx {
     /// Unbounded — for the local stdin/stdout pipe.
@@ -514,16 +513,21 @@ impl<'p> Dispatcher<'p> {
                 // same request id always lands on the same variant (requests
                 // naming a `model` bypass the router entirely).
                 let request = request.route_key(llmulator::route_key(id.to_string().as_bytes()));
-                self.pool.submit(
-                    ServeJob::new(request, move |result, _| {
-                        let value = match result {
-                            Ok(response) => success_response(&id, &response),
-                            Err(e) => error_response(id, &e),
-                        };
-                        out.send(seq, value.to_string());
-                    })
-                    .timeout(timeout),
-                );
+                let job = ServeJob::new(request, move |result, _| {
+                    let value = match result {
+                        Ok(response) => success_response(&id, &response),
+                        Err(e) => error_response(id, &e),
+                    };
+                    out.send(seq, value.to_string());
+                })
+                .timeout(timeout);
+                match self.out {
+                    // The local pipe pauses its reader on a full queue
+                    // (backpressure, so no line is ever dropped); remote
+                    // clients are shed with `overloaded` instead.
+                    ResponseTx::Unbounded(_) => self.pool.submit_wait(job),
+                    ResponseTx::Bounded { .. } => self.pool.submit(job),
+                }
                 true
             }
             Parsed::Invalid(id, e) => {

@@ -225,18 +225,11 @@ fn serve_rejects_a_future_format_version_model() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// The serve daemon answers a mixed batch of valid and malformed JSONL
-/// requests with id-correlated responses, returns a structured error object
-/// for the bad line, and exits cleanly on EOF.
-#[test]
-fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
-    use std::io::Write;
-    use std::process::Stdio;
-
-    let dir = unique_dir("serve");
+/// Trains a small model into `dir` from the shell and returns its path.
+fn train_tiny_model(dir: &std::path::Path) -> PathBuf {
     let cache = dir.join("cache");
     let model = dir.join("model.json");
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::create_dir_all(dir).expect("mkdir");
     let train = run(&[
         "train",
         "--samples",
@@ -257,6 +250,19 @@ fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
         model.to_str().expect("utf8"),
     ]);
     assert!(train.status.success(), "train: {}", stderr(&train));
+    model
+}
+
+/// The serve daemon answers a mixed batch of valid and malformed JSONL
+/// requests with id-correlated responses, returns a structured error object
+/// for the bad line, and exits cleanly on EOF.
+#[test]
+fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let dir = unique_dir("serve");
+    let model = train_tiny_model(&dir);
 
     // One program request (source text goes through JSON string escaping),
     // one pre-tokenized request with a metric subset, one malformed line,
@@ -328,6 +334,71 @@ fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
         lines[3].contains("\"kind\":\"unknown_model\""),
         "{}",
         lines[3]
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The stdin daemon applies backpressure instead of shedding: with a
+/// one-job queue and one-job batches, a piped burst of requests blocks the
+/// reader rather than overflowing the queue, so every line is answered, in
+/// order, and none with `overloaded`.
+#[test]
+fn serve_stdin_backpressure_answers_every_line_in_order() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    const LINES: usize = 200;
+    let dir = unique_dir("serve_backpressure");
+    let model = train_tiny_model(&dir);
+    let requests: String = (0..LINES)
+        .map(|i| format!("{{\"id\": {i}, \"tokens\": [{}, 2, 3]}}\n", i % 50 + 1))
+        .collect();
+
+    let mut child = std::process::Command::new(bin())
+        .args([
+            "serve",
+            "--model",
+            model.to_str().expect("utf8"),
+            "--threads",
+            "1",
+            "--max-queue",
+            "1",
+            "--max-batch",
+            "1",
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    // Write from a thread: the daemon's stdout must drain concurrently or a
+    // full pipe would stall both sides.
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let feeder = std::thread::spawn(move || stdin.write_all(requests.as_bytes()));
+    let out = child.wait_with_output().expect("daemon exits");
+    feeder
+        .join()
+        .expect("feeder joins")
+        .expect("requests written");
+    assert!(out.status.success(), "clean exit: {}", stderr(&out));
+
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), LINES, "one response per request line");
+    for (i, line) in lines.iter().enumerate() {
+        assert!(
+            line.starts_with(&format!("{{\"id\":{i},")),
+            "order at {i}: {line}"
+        );
+        assert!(line.contains("\"ok\":true"), "line {i}: {line}");
+        assert!(!line.contains("overloaded"), "line {i}: {line}");
+    }
+    let summary = stderr(&out);
+    assert!(
+        summary.contains(&format!(
+            "{LINES} request(s) answered, 0 error response(s), 0 shed"
+        )),
+        "{summary}"
     );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

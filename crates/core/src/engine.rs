@@ -9,23 +9,23 @@
 //!   [`NumericPredictor`] and any [`CostModel`] baseline, behind the
 //!   object-safe [`ServableModel`] trait) plus serving defaults
 //!   ([`EngineConfig`], builder-style);
-//! * a [`Session`] holds the per-client mutable state — a
-//!   [`Scratch`] arena and [`BeamScratch`] reused across requests so
-//!   steady-state serving allocates nothing per call, and a
-//!   [`ReplayBuffer`] that accumulates calibration feedback triples;
+//! * a [`Session`] holds the per-client mutable state — a [`Scratch`]
+//!   arena and [`BeamScratch`] reused across requests so steady-state
+//!   serving allocates nothing per call;
 //! * typed [`PredictRequest`] / [`PredictResponse`] messages carry program
 //!   source or pre-tokenized input, a metric subset, beam-width and
 //!   thread-count overrides, and optional profiler feedback.
 //!
-//! Predictions route through the fused
-//! [`NumericPredictor::predict_tokens_batch_threads`] path (or the
-//! session-scratch single-input path, which is bit-identical to it), so an
-//! engine answer is exactly equal to calling the predictor directly.
-//! [`Session::predict_micro_batch`] additionally packs the inputs of many
-//! queued requests into one fused batch — the `llmulator serve` daemon's
-//! hot path.
+//! Every request takes one path: [`Session::predict_micro_batch`] resolves,
+//! validates and records feedback for each request, then packs the inputs
+//! of all requests sharing a predictor version and beam width into one
+//! fused [`NumericPredictor::predict_tokens_batch_threads`] call (a group
+//! of exactly one sequence runs through the session's scratch arena
+//! instead, bit-identical to the fused path). [`Session::predict`] is that
+//! path with a batch of one, so an engine answer is exactly equal to
+//! calling the predictor directly, alone or micro-batched.
 
-use crate::calibrate::{PreferenceTriple, ReplayBuffer};
+use crate::calibrate::PreferenceTriple;
 use crate::dataset::{CostModel, Sample};
 use crate::encode::SegmentedText;
 use crate::error::Error;
@@ -34,23 +34,13 @@ use crate::numeric::{metric_to_int, BeamScratch};
 use crate::online::{
     abs_rel_error, AbRouter, CalibrationCounters, CalibrationStats, FeedbackQueue, Scoreboard,
 };
+use crate::sync::unpoisoned;
 use llmulator_ir::{parse, InputData, Program};
 use llmulator_nn::Scratch;
 use llmulator_sim::{CostVector, Metric};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Read-locks, recovering from poisoning (registry writes are
-/// structurally atomic — a panic mid-registration leaves a valid list).
-fn read_unpoisoned<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write-locks, recovering from poisoning (same rationale).
-fn write_unpoisoned<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, RwLock};
 
 /// The unified object-safe interface every servable model implements.
 ///
@@ -103,7 +93,6 @@ impl<M: CostModel + Send + Sync> ServableModel for BaselineModel<M> {}
 /// let engine: Engine = EngineConfig::new()
 ///     .default_model("prod")
 ///     .threads(2)
-///     .replay_capacity(32)
 ///     .build();
 /// assert!(engine.model_names().is_empty());
 /// ```
@@ -111,20 +100,18 @@ impl<M: CostModel + Send + Sync> ServableModel for BaselineModel<M> {}
 pub struct EngineConfig {
     default_model: String,
     threads: usize,
-    replay_capacity: usize,
     feedback_capacity: usize,
     score_window: usize,
 }
 
 impl EngineConfig {
     /// Defaults: model name `"default"`, one prediction worker per
-    /// available core, replay window of 16 feedback triples, shared
-    /// feedback queue disabled, rolling-accuracy window of 64.
+    /// available core, shared feedback queue disabled, rolling-accuracy
+    /// window of 64.
     pub fn new() -> EngineConfig {
         EngineConfig {
             default_model: "default".to_string(),
             threads: llmulator_nn::available_threads(),
-            replay_capacity: 16,
             feedback_capacity: 0,
             score_window: 64,
         }
@@ -137,17 +124,11 @@ impl EngineConfig {
         self
     }
 
-    /// Worker threads for batch prediction (clamped to at least 1).
+    /// Worker threads for batch prediction (clamped to at least 1). Also
+    /// the ceiling on a request's own `threads` override.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> EngineConfig {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Capacity of each session's calibration [`ReplayBuffer`].
-    #[must_use]
-    pub fn replay_capacity(mut self, capacity: usize) -> EngineConfig {
-        self.replay_capacity = capacity;
         self
     }
 
@@ -273,7 +254,7 @@ impl Engine {
     ) -> &Engine {
         let name = name.into();
         let model: Arc<dyn ServableModel> = Arc::from(model);
-        let mut models = write_unpoisoned(&self.models);
+        let mut models = unpoisoned(self.models.write());
         let epoch = self.swap_epoch.fetch_add(1, Ordering::Relaxed) + 1;
         match models.iter_mut().find(|r| r.name == name) {
             Some(slot) => {
@@ -320,7 +301,7 @@ impl Engine {
 
     /// Registered model names, in registration order.
     pub fn model_names(&self) -> Vec<String> {
-        read_unpoisoned(&self.models)
+        unpoisoned(self.models.read())
             .iter()
             .map(|r| r.name.clone())
             .collect()
@@ -328,7 +309,9 @@ impl Engine {
 
     /// True when `name` is registered.
     pub fn has_model(&self, name: &str) -> bool {
-        read_unpoisoned(&self.models).iter().any(|r| r.name == name)
+        unpoisoned(self.models.read())
+            .iter()
+            .any(|r| r.name == name)
     }
 
     /// The current swap epoch: increments on every (re)registration, so
@@ -347,7 +330,7 @@ impl Engine {
     /// Returns [`Error::UnknownModel`] listing the loaded names.
     pub fn resolve(&self, name: Option<&str>) -> Result<Resolved, Error> {
         let wanted = name.unwrap_or(&self.config.default_model);
-        let models = read_unpoisoned(&self.models);
+        let models = unpoisoned(self.models.read());
         models
             .iter()
             .find(|r| r.name == wanted)
@@ -371,7 +354,7 @@ impl Engine {
     /// Returns [`Error::UnknownModel`] listing the loaded names.
     pub fn resolve_routed(&self, name: Option<&str>, route_key: u64) -> Result<Resolved, Error> {
         if name.is_none() {
-            let picked = read_unpoisoned(&self.router)
+            let picked = unpoisoned(self.router.read())
                 .as_ref()
                 .map(|router| router.pick(route_key).to_string());
             if let Some(variant) = picked {
@@ -399,13 +382,13 @@ impl Engine {
                 }
             }
         }
-        *write_unpoisoned(&self.router) = router;
+        *unpoisoned(self.router.write()) = router;
         Ok(())
     }
 
     /// The installed A/B router, when one is set.
     pub fn router(&self) -> Option<AbRouter> {
-        read_unpoisoned(&self.router).clone()
+        unpoisoned(self.router.read()).clone()
     }
 
     /// The shared cross-session feedback queue (disabled unless
@@ -445,7 +428,6 @@ impl Engine {
             engine: self,
             scratch: Scratch::new(),
             beam: BeamScratch::new(),
-            replay: ReplayBuffer::new(self.config.replay_capacity),
             served: 0,
         }
     }
@@ -495,10 +477,11 @@ pub struct PredictRequest {
     pub metrics: Option<Vec<Metric>>,
     /// Beam-width override for digit decoding.
     pub beam_width: Option<usize>,
-    /// Worker-thread override for this request.
+    /// Worker-thread override for this request, capped at
+    /// [`EngineConfig::threads`].
     pub threads: Option<usize>,
-    /// Optional profiler feedback routed into the session's replay buffer
-    /// and the engine's shared feedback queue.
+    /// Optional profiler feedback routed into the engine's shared feedback
+    /// queue and per-model scoreboard.
     pub feedback: Option<Feedback>,
     /// A/B routing key (e.g. a hash of the wire request id). Only consulted
     /// when `model` is `None` and the engine has a router; absent keys
@@ -639,14 +622,13 @@ pub struct PredictResponse {
     pub items: Vec<ItemPrediction>,
 }
 
-/// Per-client serving state: reusable scratch arenas and the calibration
-/// replay buffer. Sessions are cheap; open one per connection/worker.
+/// Per-client serving state: reusable scratch arenas. Sessions are cheap;
+/// open one per connection/worker.
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e Engine,
     scratch: Scratch,
     beam: BeamScratch,
-    replay: ReplayBuffer,
     served: usize,
 }
 
@@ -661,13 +643,8 @@ impl<'e> Session<'e> {
         self.served
     }
 
-    /// The calibration feedback accumulated by this session, ready for a
-    /// [`crate::calibrate::DpoCalibrator`] minibatch.
-    pub fn replay_buffer(&self) -> &ReplayBuffer {
-        &self.replay
-    }
-
-    /// Answers one request.
+    /// Answers one request: [`Session::predict_micro_batch`] with a batch
+    /// of one.
     ///
     /// Predictor-backed answers are bit-identical to calling
     /// [`NumericPredictor::predict_batch_threads`] /
@@ -681,207 +658,159 @@ impl<'e> Session<'e> {
     /// metric list, token input to a baseline, feedback out of range) and
     /// [`Error::Ir`] chains for unparseable program source.
     pub fn predict(&mut self, request: &PredictRequest) -> Result<PredictResponse, Error> {
-        let engine = self.engine;
-        let resolved = engine.resolve_routed(
-            request.model.as_deref(),
-            request.route_key.unwrap_or_default(),
-        )?;
-        let metrics = resolve_metrics(request.metrics.as_deref())?;
-        if request.inputs.is_empty() {
-            return Err(Error::InvalidRequest("request has no inputs".into()));
-        }
-        let items = match resolved.model.as_predictor() {
-            Some(predictor) => {
-                let seqs = tokenize_inputs(predictor, &request.inputs)?;
-                let beam = resolve_beam_width(predictor, request.beam_width)?;
-                let threads = request.threads.unwrap_or(engine.config.threads).max(1);
-                if let Some(fb) = request.feedback {
-                    self.record_feedback(&resolved.name, &seqs, fb)?;
-                }
-                let preds = self.predict_seqs(predictor, &seqs, threads, beam);
-                preds
-                    .iter()
-                    .map(|p| item_from_prediction(p, &metrics))
-                    .collect()
-            }
-            None => {
-                if request.feedback.is_some() {
-                    return Err(Error::InvalidRequest(format!(
-                        "calibration feedback requires a predictor model, `{}` is a baseline",
-                        resolved.name
-                    )));
-                }
-                let samples = baseline_samples(&request.inputs)?;
-                let costs = resolved.model.try_predict_batch(&samples)?;
-                costs.iter().map(|c| item_from_cost(c, &metrics)).collect()
-            }
-        };
-        self.served += 1;
-        Ok(PredictResponse {
-            model: resolved.name,
-            epoch: resolved.epoch,
-            items,
-        })
+        let mut results = self.predict_micro_batch(std::slice::from_ref(request));
+        results
+            .pop()
+            .unwrap_or_else(|| Err(Error::Internal("a batch of one got no answer".into())))
     }
 
-    /// Answers a queue of requests, micro-batching across them: all inputs
-    /// of all requests that resolve to the same predictor model and beam
-    /// width are packed into **one**
+    /// Answers a queue of requests, micro-batching across them — the one
+    /// request path behind every serving surface.
+    ///
+    /// Each request is resolved and validated on its own, so one that
+    /// fails gets its own `Err` slot without poisoning the batch, and its
+    /// feedback is recorded only once it validates. Baseline requests are
+    /// answered directly. All inputs of the remaining requests that share a
+    /// predictor version and beam width are packed into **one**
     /// [`NumericPredictor::predict_tokens_batch_threads`] call (one fused
-    /// GEMM per layer per length group), then split back per request.
-    /// Requests that fail to resolve or tokenize get their own `Err` slot
-    /// without poisoning the batch; baseline-targeted requests fall back to
-    /// [`Session::predict`]. Responses keep request order and are exactly
-    /// the responses `predict` would have produced one at a time.
+    /// GEMM per layer per length group) and split back per request; a
+    /// group of exactly one sequence runs through the session's scratch
+    /// arena instead (bit-identical, allocation-free in steady state).
+    /// Responses keep request order, and each equals the response the
+    /// request would get in a batch of its own.
     pub fn predict_micro_batch(
         &mut self,
         requests: &[PredictRequest],
     ) -> Vec<Result<PredictResponse, Error>> {
-        struct Plan {
-            request: usize,
-            resolved: Resolved,
-            seqs: Vec<Vec<u32>>,
-            metrics: Vec<Metric>,
-            beam: usize,
-            threads: usize,
-        }
-
-        let engine = self.engine;
-        let mut out: Vec<Option<Result<PredictResponse, Error>>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut plans: Vec<Plan> = Vec::new();
-        for (i, request) in requests.iter().enumerate() {
-            let plan = (|| -> Result<Option<Plan>, Error> {
-                let resolved = engine.resolve_routed(
+        // Resolve first: every answer starts as its model's name and epoch,
+        // and `models` keeps each resolved version alive while the plans
+        // borrow its predictor — a hot swap mid-batch cannot reach them.
+        let (mut out, models): (Vec<Result<PredictResponse, Error>>, Vec<_>) = requests
+            .iter()
+            .map(|request| {
+                let resolved = self.engine.resolve_routed(
                     request.model.as_deref(),
                     request.route_key.unwrap_or_default(),
-                )?;
-                if resolved.model.as_predictor().is_none() {
-                    return Ok(None); // baseline: served unfused below
+                );
+                match resolved {
+                    Ok(r) => {
+                        let response = PredictResponse {
+                            model: r.name,
+                            epoch: r.epoch,
+                            items: Vec::new(),
+                        };
+                        (Ok(response), Some(r.model))
+                    }
+                    Err(e) => (Err(e), None),
                 }
-                let metrics = resolve_metrics(request.metrics.as_deref())?;
-                if request.inputs.is_empty() {
-                    return Err(Error::InvalidRequest("request has no inputs".into()));
-                }
-                let predictor = resolved
-                    .model
-                    .as_predictor()
-                    .expect("checked to be a predictor above");
-                let seqs = tokenize_inputs(predictor, &request.inputs)?;
-                // Validate everything before touching session state: a
-                // request `predict` would reject must not leave its
-                // feedback triple in the replay buffer either.
-                let beam = resolve_beam_width(predictor, request.beam_width)?;
-                if let Some(fb) = request.feedback {
-                    self.record_feedback(&resolved.name, &seqs, fb)?;
-                }
-                Ok(Some(Plan {
-                    request: i,
-                    resolved,
-                    seqs,
-                    metrics,
-                    beam,
-                    threads: request.threads.unwrap_or(engine.config.threads).max(1),
-                }))
-            })();
-            match plan {
-                Ok(Some(p)) => plans.push(p),
-                Ok(None) => out[i] = Some(self.predict(&requests[i])),
-                Err(e) => out[i] = Some(Err(e)),
+            })
+            .unzip();
+        let mut plans = Vec::new();
+        for (i, (request, model)) in requests.iter().zip(&models).enumerate() {
+            let (Some(model), Ok(response)) = (model, &mut out[i]) else {
+                continue;
+            };
+            match self.plan(i, request, model.as_ref(), response) {
+                Ok(Some(plan)) => plans.push(plan),
+                Ok(None) => {}
+                Err(e) => out[i] = Err(e),
             }
         }
 
-        // Fuse plans sharing (model, epoch, beam): one packed batch per
-        // group. Keying on the epoch (not just the name) means two plans
-        // that straddled a hot swap run on their own resolved versions —
-        // every plan holds its model `Arc`, so no re-resolution can miss.
+        // Fuse plans sharing (predictor version, beam): one packed batch
+        // per group, then split the predictions back in request order.
         let mut remaining = plans;
-        while !remaining.is_empty() {
-            let key = (
-                remaining[0].resolved.name.clone(),
-                remaining[0].resolved.epoch,
-                remaining[0].beam,
-            );
-            let (mut group, rest): (Vec<Plan>, Vec<Plan>) = remaining.into_iter().partition(|p| {
-                (p.resolved.name.as_str(), p.resolved.epoch, p.beam)
-                    == (key.0.as_str(), key.1, key.2)
-            });
+        while let Some(first) = remaining.first() {
+            let (predictor, beam) = (first.predictor, first.beam);
+            let (mut group, rest): (Vec<Plan>, Vec<Plan>) = remaining
+                .into_iter()
+                .partition(|p| std::ptr::eq(p.predictor, predictor) && p.beam == beam);
             remaining = rest;
-            // Move (not clone) every plan's sequences into the fused batch,
-            // remembering each plan's span for the response split.
-            let mut all: Vec<Vec<u32>> =
-                Vec::with_capacity(group.iter().map(|p| p.seqs.len()).sum());
-            let mut counts = Vec::with_capacity(group.len());
-            for plan in &mut group {
-                counts.push(plan.seqs.len());
-                all.append(&mut plan.seqs);
-            }
             let threads = group.iter().map(|p| p.threads).max().unwrap_or(1);
-            let model = Arc::clone(&group[0].resolved.model);
-            let predictor = model
-                .as_predictor()
-                .expect("only predictor-backed requests are planned");
-            let preds = predictor.predict_tokens_batch_threads_width(&all, threads, key.2);
-            let mut offset = 0;
-            for (plan, count) in group.iter().zip(counts) {
-                let slice = &preds[offset..offset + count];
-                offset += count;
-                out[plan.request] = Some(Ok(PredictResponse {
-                    model: plan.resolved.name.clone(),
-                    epoch: plan.resolved.epoch,
-                    items: slice
-                        .iter()
+            let seqs: Vec<Vec<u32>> = group
+                .iter_mut()
+                .flat_map(|p| std::mem::take(&mut p.seqs))
+                .collect();
+            let preds = if let [tokens] = seqs.as_slice() {
+                let (seq, pooled) = llmulator_nn::forward(
+                    predictor.encoder(),
+                    predictor.store(),
+                    tokens,
+                    None,
+                    &mut self.scratch,
+                );
+                let preds = predictor.decode_pooled_rows_scratch(&pooled, beam, &mut self.beam);
+                self.scratch.recycle(seq);
+                self.scratch.recycle(pooled);
+                preds
+            } else {
+                predictor.predict_tokens_batch_threads_width(&seqs, threads, beam)
+            };
+            let mut preds = preds.iter();
+            for plan in &group {
+                if let Ok(response) = &mut out[plan.request] {
+                    response.items = preds
+                        .by_ref()
+                        .take(requests[plan.request].inputs.len())
                         .map(|p| item_from_prediction(p, &plan.metrics))
-                        .collect(),
-                }));
-                self.served += 1;
+                        .collect();
+                }
             }
         }
-
-        out.into_iter()
-            .map(|slot| slot.expect("every request answered exactly once"))
-            .collect()
+        self.served += out.iter().filter(|r| r.is_ok()).count();
+        out
     }
 
-    /// Predicts token sequences through the fused batch path, or — for a
-    /// single sequence on one thread — through the session's scratch arena
-    /// (bit-identical, allocation-free in steady state).
-    fn predict_seqs(
-        &mut self,
-        predictor: &NumericPredictor,
-        seqs: &[Vec<u32>],
-        threads: usize,
-        beam: usize,
-    ) -> Vec<Prediction> {
-        if let [tokens] = seqs {
-            let (seq, pooled) = llmulator_nn::forward(
-                predictor.encoder(),
-                predictor.store(),
-                tokens,
-                None,
-                &mut self.scratch,
-            );
-            let preds = predictor.decode_pooled_rows_scratch(&pooled, beam, &mut self.beam);
-            self.scratch.recycle(seq);
-            self.scratch.recycle(pooled);
-            preds
-        } else {
-            predictor.predict_tokens_batch_threads_width(seqs, threads, beam)
+    /// Validates request `index` against the model it resolved to. A
+    /// baseline request is answered into `response` on the spot; a
+    /// predictor request has its feedback recorded and comes back as a
+    /// [`Plan`] for the fused executor.
+    fn plan<'m>(
+        &self,
+        index: usize,
+        request: &PredictRequest,
+        model: &'m dyn ServableModel,
+        response: &mut PredictResponse,
+    ) -> Result<Option<Plan<'m>>, Error> {
+        let metrics = resolve_metrics(request.metrics.as_deref())?;
+        if request.inputs.is_empty() {
+            return Err(Error::InvalidRequest("request has no inputs".into()));
         }
+        let Some(predictor) = model.as_predictor() else {
+            if request.feedback.is_some() {
+                return Err(Error::InvalidRequest(format!(
+                    "calibration feedback requires a predictor model, `{}` is a baseline",
+                    response.model
+                )));
+            }
+            let costs = model.try_predict_batch(&baseline_samples(&request.inputs)?)?;
+            response.items = costs.iter().map(|c| item_from_cost(c, &metrics)).collect();
+            return Ok(None);
+        };
+        let seqs = tokenize_inputs(predictor, &request.inputs)?;
+        let beam = resolve_beam_width(predictor, request.beam_width)?;
+        // Record feedback last: a request rejected above must not leave its
+        // triple in the calibration queue.
+        if let Some(fb) = request.feedback {
+            self.record_feedback(&response.model, &seqs, fb)?;
+        }
+        let ceiling = self.engine.config.threads;
+        Ok(Some(Plan {
+            request: index,
+            predictor,
+            seqs,
+            metrics,
+            beam,
+            threads: request.threads.unwrap_or(ceiling).clamp(1, ceiling),
+        }))
     }
 
-    /// Routes a feedback triple into the session replay buffer, the
-    /// engine's shared feedback queue (when enabled) and the per-model
-    /// scoreboard. Exact predictions carry no preference signal and are
-    /// skipped as training data (mirroring
+    /// Routes a feedback triple into the engine's shared feedback queue
+    /// (when enabled) and the per-model scoreboard. Exact predictions carry
+    /// no preference signal and are skipped as training data (mirroring
     /// [`crate::calibrate::DpoCalibrator::observe`]) but still count as
     /// accuracy signal on the scoreboard.
-    fn record_feedback(
-        &mut self,
-        model: &str,
-        seqs: &[Vec<u32>],
-        fb: Feedback,
-    ) -> Result<(), Error> {
+    fn record_feedback(&self, model: &str, seqs: &[Vec<u32>], fb: Feedback) -> Result<(), Error> {
         let tokens = seqs.get(fb.item).ok_or_else(|| {
             Error::InvalidRequest(format!(
                 "feedback.item {} out of range ({} inputs)",
@@ -889,25 +818,36 @@ impl<'e> Session<'e> {
                 seqs.len()
             ))
         })?;
-        self.engine
+        let engine = self.engine;
+        engine
             .scoreboard()
             .record_feedback_error(model, abs_rel_error(fb.actual, fb.predicted));
         let y_w = metric_to_int(fb.metric, fb.actual);
         let y_l = metric_to_int(fb.metric, fb.predicted);
-        if y_w != y_l {
-            let triple = PreferenceTriple {
+        if y_w != y_l && engine.feedback().is_enabled() {
+            engine.feedback().push(PreferenceTriple {
                 tokens: tokens.clone(),
                 metric: fb.metric,
                 y_w,
                 y_l,
-            };
-            if self.engine.feedback().is_enabled() {
-                self.engine.feedback().push(triple.clone());
-            }
-            self.replay.push(triple);
+            });
         }
         Ok(())
     }
+}
+
+/// A validated predictor request waiting for its fused group.
+struct Plan<'m> {
+    /// Index of the request, and of its answer slot.
+    request: usize,
+    /// The exact model version the request resolved to.
+    predictor: &'m NumericPredictor,
+    /// One token sequence per request input.
+    seqs: Vec<Vec<u32>>,
+    metrics: Vec<Metric>,
+    beam: usize,
+    /// Worker threads, already clamped to [`EngineConfig::threads`].
+    threads: usize,
 }
 
 /// Hard ceiling on per-request beam widths. Beam memory grows as
@@ -1237,40 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn feedback_lands_in_the_replay_buffer() {
-        let engine = engine_with_default();
-        let mut session = engine.session();
-        let request = PredictRequest::tokens(vec![2, 4, 6]).feedback(Feedback {
-            item: 0,
-            metric: Metric::Cycles,
-            actual: 120.0,
-            predicted: 90.0,
-        });
-        session.predict(&request).expect("serves");
-        assert_eq!(session.replay_buffer().len(), 1);
-        // An exact prediction carries no signal.
-        let request = PredictRequest::tokens(vec![2, 4, 6]).feedback(Feedback {
-            item: 0,
-            metric: Metric::Cycles,
-            actual: 120.0,
-            predicted: 120.0,
-        });
-        session.predict(&request).expect("serves");
-        assert_eq!(session.replay_buffer().len(), 1, "exact match skipped");
-        // Out-of-range item is a typed error.
-        let request = PredictRequest::tokens(vec![2]).feedback(Feedback {
-            item: 5,
-            metric: Metric::Cycles,
-            actual: 1.0,
-            predicted: 2.0,
-        });
-        assert!(matches!(
-            session.predict(&request),
-            Err(Error::InvalidRequest(_))
-        ));
-    }
-
-    #[test]
     fn micro_batch_fuses_across_requests_and_isolates_errors() {
         let engine = EngineConfig::new().threads(2).build();
         engine.register_predictor("default", tiny_predictor(3));
@@ -1285,10 +1191,11 @@ mod tests {
             PredictRequest::new()
                 .input(PredictInput::Tokens(vec![4, 5]))
                 .input(PredictInput::Tokens(vec![6, 7, 8, 9])),
+            PredictRequest::tokens(vec![1, 2]).for_model("fixed"),
         ];
         let mut session = engine.session();
         let results = session.predict_micro_batch(&requests);
-        assert_eq!(results.len(), 4);
+        assert_eq!(results.len(), 5);
         // Request 0 and 3 were fused into one batch; answers must equal the
         // unfused oracle exactly.
         let oracle = predictor
@@ -1308,6 +1215,48 @@ mod tests {
         let r2 = results[2].as_ref().expect("baseline served");
         assert_eq!(r2.model, "fixed");
         assert_eq!(r2.items[0].value(Metric::Power), Some(3.0));
+        assert!(matches!(results[4], Err(Error::InvalidRequest(_))));
+        assert_eq!(session.served(), 3);
+        // `predict` is the same path with a batch of one: every slot —
+        // predictor, unknown model, baseline, invalid — matches it exactly.
+        for (request, batched) in requests.iter().zip(&results) {
+            match (session.predict(request), batched) {
+                (Ok(alone), Ok(batched)) => assert_eq!(&alone, batched),
+                (Err(alone), Err(batched)) => assert_eq!(alone.kind(), batched.kind()),
+                (alone, batched) => panic!("{alone:?} vs {batched:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn thread_overrides_are_capped_at_the_engine_ceiling() {
+        let engine = engine_with_default();
+        let mut session = engine.session();
+        let requests: Vec<PredictRequest> = (0..4u32)
+            .map(|i| {
+                PredictRequest::new()
+                    .input(PredictInput::Tokens(vec![i, 5, 6]))
+                    .input(PredictInput::Tokens(vec![7, i]))
+            })
+            .collect();
+        let plain = session.predict_micro_batch(&requests);
+        // A wire-scale override serves bit-identically to the default
+        // instead of fanning out one thread per pack unit.
+        let huge: Vec<PredictRequest> = requests
+            .iter()
+            .map(|r| r.clone().threads(usize::MAX))
+            .collect();
+        let capped = session.predict_micro_batch(&huge);
+        for (plain, capped) in plain.iter().zip(&capped) {
+            assert_eq!(
+                plain.as_ref().expect("serves"),
+                capped.as_ref().expect("serves")
+            );
+        }
+        assert_eq!(
+            session.predict(&requests[0]).expect("serves"),
+            session.predict(&huge[0]).expect("serves")
+        );
     }
 
     #[test]
@@ -1443,6 +1392,45 @@ mod tests {
     }
 
     #[test]
+    fn feedback_lands_in_the_replay_buffer() {
+        // The engine's feedback queue is the replay buffer the calibrator
+        // drains; sessions push their triples straight into it.
+        let engine = EngineConfig::new().threads(2).feedback_capacity(4).build();
+        engine.register_predictor("default", tiny_predictor(3));
+        let mut session = engine.session();
+        let request = PredictRequest::tokens(vec![2, 4, 6]).feedback(Feedback {
+            item: 0,
+            metric: Metric::Cycles,
+            actual: 120.0,
+            predicted: 90.0,
+        });
+        session.predict(&request).expect("serves");
+        assert_eq!(engine.feedback().len(), 1);
+        // An exact prediction carries no signal.
+        let request = PredictRequest::tokens(vec![2, 4, 6]).feedback(Feedback {
+            item: 0,
+            metric: Metric::Cycles,
+            actual: 120.0,
+            predicted: 120.0,
+        });
+        session.predict(&request).expect("serves");
+        assert_eq!(engine.feedback().len(), 1, "exact match skipped");
+        // Out-of-range item is a typed error.
+        let request = PredictRequest::tokens(vec![2]).feedback(Feedback {
+            item: 5,
+            metric: Metric::Cycles,
+            actual: 1.0,
+            predicted: 2.0,
+        });
+        assert!(matches!(
+            session.predict(&request),
+            Err(Error::InvalidRequest(_))
+        ));
+        assert_eq!(engine.feedback().len(), 1);
+        assert_eq!(engine.feedback().drain_now().len(), 1, "drainable");
+    }
+
+    #[test]
     fn feedback_fans_out_to_the_shared_queue_and_scoreboard() {
         let engine = EngineConfig::new().threads(1).feedback_capacity(4).build();
         engine.register_predictor("default", tiny_predictor(3));
@@ -1454,7 +1442,6 @@ mod tests {
             predicted: 90.0,
         });
         session.predict(&request).expect("serves");
-        assert_eq!(session.replay_buffer().len(), 1);
         assert_eq!(engine.feedback().accepted(), 1, "queue got the triple");
         let (err, n) = engine
             .scoreboard()
@@ -1476,6 +1463,36 @@ mod tests {
             .rolling_error("default")
             .expect("scored");
         assert_eq!(n, 2, "accuracy signal recorded");
+        // Rejected requests record nothing: an out-of-range item is a typed
+        // error, and a request failing validation keeps its triple out of
+        // the queue and the scoreboard.
+        let off_by_one = Feedback {
+            item: 5,
+            metric: Metric::Cycles,
+            actual: 1.0,
+            predicted: 2.0,
+        };
+        let request = PredictRequest::tokens(vec![2]).feedback(off_by_one);
+        assert!(matches!(
+            session.predict(&request),
+            Err(Error::InvalidRequest(_))
+        ));
+        let request = PredictRequest::tokens(vec![2])
+            .beam_width(usize::MAX)
+            .feedback(Feedback {
+                item: 0,
+                ..off_by_one
+            });
+        assert!(matches!(
+            session.predict(&request),
+            Err(Error::InvalidRequest(_))
+        ));
+        assert_eq!(engine.feedback().accepted(), 1);
+        let (_, n) = engine
+            .scoreboard()
+            .rolling_error("default")
+            .expect("scored");
+        assert_eq!(n, 2);
     }
 
     #[test]

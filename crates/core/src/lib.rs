@@ -54,6 +54,7 @@ pub mod numeric;
 pub mod online;
 pub mod persist;
 pub mod serve_pool;
+mod sync;
 
 pub use accel::{AccelStats, CachedPredictor};
 pub use cache::{content_hash, write_atomic, CacheStats, DatasetCache};

@@ -34,20 +34,15 @@ use crate::calibrate::{DpoCalibrator, DpoConfig, PreferenceTriple};
 use crate::engine::Engine;
 use crate::error::Error;
 use crate::model::NumericPredictor;
+use crate::sync::unpoisoned;
 use llmulator_sim::Metric;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// Locks `mutex`, recovering from poisoning (see the serve-pool rationale:
-/// every critical section leaves the data structurally valid).
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 // ---------------------------------------------------------------------------
 // Feedback queue
@@ -107,7 +102,7 @@ impl FeedbackQueue {
         if self.capacity == 0 {
             return false;
         }
-        let mut state = lock_unpoisoned(&self.state);
+        let mut state = unpoisoned(self.state.lock());
         if state.closed {
             return false;
         }
@@ -125,19 +120,16 @@ impl FeedbackQueue {
 
     /// Takes everything currently queued without blocking.
     pub fn drain_now(&self) -> Vec<PreferenceTriple> {
-        lock_unpoisoned(&self.state).items.drain(..).collect()
+        unpoisoned(self.state.lock()).items.drain(..).collect()
     }
 
     /// Takes everything queued, blocking up to `timeout` for the first
     /// triple. Returns an empty batch on timeout or when the queue closed
     /// while empty (check [`FeedbackQueue::is_closed`] to distinguish).
     pub fn drain_wait(&self, timeout: Duration) -> Vec<PreferenceTriple> {
-        let mut state = lock_unpoisoned(&self.state);
+        let mut state = unpoisoned(self.state.lock());
         if state.items.is_empty() && !state.closed {
-            let (guard, _) = self
-                .available
-                .wait_timeout(state, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
+            let (guard, _) = unpoisoned(self.available.wait_timeout(state, timeout));
             state = guard;
         }
         state.items.drain(..).collect()
@@ -145,18 +137,18 @@ impl FeedbackQueue {
 
     /// Closes the queue: later pushes are refused and blocked drains wake.
     pub fn close(&self) {
-        lock_unpoisoned(&self.state).closed = true;
+        unpoisoned(self.state.lock()).closed = true;
         self.available.notify_all();
     }
 
     /// True once [`FeedbackQueue::close`] ran.
     pub fn is_closed(&self) -> bool {
-        lock_unpoisoned(&self.state).closed
+        unpoisoned(self.state.lock()).closed
     }
 
     /// Triples currently queued.
     pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.state).items.len()
+        unpoisoned(self.state.lock()).items.len()
     }
 
     /// True when nothing is queued.
@@ -306,7 +298,7 @@ impl Scoreboard {
     }
 
     fn with_entry<R>(&self, model: &str, f: impl FnOnce(&mut ScoreEntry) -> R) -> R {
-        let mut entries = lock_unpoisoned(&self.entries);
+        let mut entries = unpoisoned(self.entries.lock());
         if let Some(entry) = entries.iter_mut().find(|e| e.model == model) {
             return f(entry);
         }
@@ -346,7 +338,7 @@ impl Scoreboard {
 
     /// The rolling error and window occupancy for one model.
     pub fn rolling_error(&self, model: &str) -> Option<(f64, usize)> {
-        let entries = lock_unpoisoned(&self.entries);
+        let entries = unpoisoned(self.entries.lock());
         let entry = entries.iter().find(|e| e.model == model)?;
         if entry.errors.is_empty() {
             return None;
@@ -363,7 +355,7 @@ impl Scoreboard {
 
     /// Scorecards for every model touched so far, in first-touch order.
     pub fn snapshot(&self) -> Vec<ModelScorecard> {
-        let entries = lock_unpoisoned(&self.entries);
+        let entries = unpoisoned(self.entries.lock());
         entries
             .iter()
             .map(|e| ModelScorecard {

@@ -18,7 +18,9 @@
 //!   [`PoolConfig::max_queue`] is answered *immediately* with
 //!   [`Error::Overloaded`] instead of waiting. Clients see a structured
 //!   `overloaded` error object, never an unbounded hang, and the shed is
-//!   counted in [`PoolStats::shed`].
+//!   counted in [`PoolStats::shed`]. A local pipe, where pausing the reader
+//!   loses nothing, submits through [`ServePool::submit_wait`] instead and
+//!   blocks until a worker frees space.
 //!
 //! Every completed request's latency (enqueue → response ready, measured
 //! with the monotonic [`Instant`] clock) lands in a [`LatencyHistogram`];
@@ -39,8 +41,8 @@
 //!   batchmates still get their real answers. Contained panics are counted
 //!   in [`PoolStats::panics_contained`].
 //! * **Poison-proof queue** — no lock is ever held across model code, and
-//!   every `Mutex`/`Condvar` access recovers from poisoning
-//!   ([`PoisonError::into_inner`]), so even an unexpected panic in a
+//!   every `Mutex`/`Condvar` access recovers from poisoning (through the
+//!   crate's one `sync::unpoisoned` helper), so even an unexpected panic in a
 //!   completion callback cannot wedge `submit`/`drain`. A worker whose
 //!   serving loop dies is respawned with a fresh session and counted in
 //!   [`PoolStats::workers_respawned`].
@@ -62,10 +64,11 @@
 use crate::engine::{Engine, PredictRequest, PredictResponse, Session};
 use crate::error::Error;
 use crate::fault::{injected_error_message, injected_panic_message, FaultAction, FaultPlan};
+use crate::sync::unpoisoned;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Number of log₂-spaced latency buckets. Bucket `i` covers
@@ -313,7 +316,11 @@ struct QueueState {
 
 struct PoolShared {
     queue: Mutex<QueueState>,
+    /// Signalled when a job is queued (or the queue closes): wakes workers.
     available: Condvar,
+    /// Signalled when a worker frees queue space (or the queue closes):
+    /// wakes [`ServePool::submit_wait`] callers.
+    space: Condvar,
     config: PoolConfig,
     served: AtomicU64,
     errors: AtomicU64,
@@ -323,15 +330,6 @@ struct PoolShared {
     respawned: AtomicU64,
     histogram: Mutex<LatencyHistogram>,
     faults: FaultPlan,
-}
-
-/// Locks `mutex`, recovering the guard from a poisoned lock: every
-/// critical section here leaves the data structurally valid (a panic
-/// mid-section can at worst lose one in-flight job's bookkeeping), so
-/// recovering is always safe and keeps `submit`/`drain` working after a
-/// contained panic.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A fixed-size worker pool serving one [`Engine`] from a central bounded
@@ -380,6 +378,7 @@ impl ServePool {
                 next_arrival: 0,
             }),
             available: Condvar::new(),
+            space: Condvar::new(),
             config,
             served: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -415,9 +414,23 @@ impl ServePool {
     /// immediately with [`Error::Overloaded`] when the queue is at
     /// [`PoolConfig::max_queue`] (load-shedding) or the pool is draining.
     pub fn submit(&self, job: ServeJob) {
-        let mut job = job;
+        self.enqueue(job, false);
+    }
+
+    /// Submits one job like [`ServePool::submit`], but a full queue blocks
+    /// the caller until a worker frees space instead of shedding the job —
+    /// backpressure for a local pipe, where pausing the reader loses
+    /// nothing. A draining pool still answers [`Error::Overloaded`].
+    pub fn submit_wait(&self, job: ServeJob) {
+        self.enqueue(job, true);
+    }
+
+    fn enqueue(&self, mut job: ServeJob, wait: bool) {
         let error = {
-            let mut queue = lock_unpoisoned(&self.shared.queue);
+            let mut queue = unpoisoned(self.shared.queue.lock());
+            while wait && !queue.closed && queue.jobs.len() >= self.shared.config.max_queue {
+                queue = unpoisoned(self.shared.space.wait(queue));
+            }
             if queue.closed {
                 Error::Overloaded {
                     depth: queue.jobs.len(),
@@ -443,13 +456,6 @@ impl ServePool {
         (job.complete)(Err(error), latency);
     }
 
-    /// Current queue depth. Cheap (takes only the queue lock) — transports
-    /// poll it to apply backpressure instead of shedding where the client
-    /// is a local pipe.
-    pub fn depth(&self) -> usize {
-        lock_unpoisoned(&self.shared.queue).jobs.len()
-    }
-
     /// Current counters, queue depth and latency percentiles.
     pub fn snapshot(&self) -> PoolStats {
         stats_snapshot(&self.shared)
@@ -458,7 +464,7 @@ impl ServePool {
     /// A copy of the full latency histogram (for reporting beyond the
     /// fixed percentile summary).
     pub fn histogram(&self) -> LatencyHistogram {
-        lock_unpoisoned(&self.shared.histogram).clone()
+        unpoisoned(self.shared.histogram.lock()).clone()
     }
 
     /// Graceful drain: closes the queue (later submissions are shed with a
@@ -468,9 +474,10 @@ impl ServePool {
     /// completes promptly — joins them and returns the final statistics.
     pub fn drain(self) -> PoolStats {
         {
-            let mut queue = lock_unpoisoned(&self.shared.queue);
+            let mut queue = unpoisoned(self.shared.queue.lock());
             queue.closed = true;
             self.shared.available.notify_all();
+            self.shared.space.notify_all();
         }
         for worker in self.workers {
             let _ = worker.join();
@@ -488,8 +495,8 @@ fn stats_snapshot(shared: &PoolShared) -> PoolStats {
         panics_contained: shared.panics_contained.load(Ordering::Relaxed),
         deadline_shed: shared.deadline_shed.load(Ordering::Relaxed),
         workers_respawned: shared.respawned.load(Ordering::Relaxed),
-        depth: lock_unpoisoned(&shared.queue).jobs.len(),
-        latency: lock_unpoisoned(&shared.histogram).summary(),
+        depth: unpoisoned(shared.queue.lock()).jobs.len(),
+        latency: unpoisoned(shared.histogram.lock()).summary(),
     }
 }
 
@@ -571,15 +578,17 @@ fn worker_serve(engine: &Engine, shared: &PoolShared) {
 /// open. Returns `None` once the queue is closed and drained. The lock is
 /// released before any job is touched.
 fn next_batch(shared: &PoolShared) -> Option<Vec<ServeJob>> {
-    let mut queue = lock_unpoisoned(&shared.queue);
+    let mut queue = unpoisoned(shared.queue.lock());
     while queue.jobs.is_empty() && !queue.closed {
-        queue = shared
-            .available
-            .wait(queue)
-            .unwrap_or_else(PoisonError::into_inner);
+        queue = unpoisoned(shared.available.wait(queue));
     }
     if queue.jobs.is_empty() {
         return None;
+    }
+    // Only a pop that takes a full queue below its limit can unblock a
+    // `submit_wait`, so the common pop skips the wake-up.
+    if queue.jobs.len() >= shared.config.max_queue {
+        shared.space.notify_all();
     }
     let take = queue.jobs.len().min(shared.config.max_batch);
     Some(queue.jobs.drain(..take).collect())
@@ -688,7 +697,7 @@ fn finish_job(
             shared.errors.fetch_add(1, Ordering::Relaxed);
         }
     };
-    lock_unpoisoned(&shared.histogram).record(latency);
+    unpoisoned(shared.histogram.lock()).record(latency);
     complete(result, latency);
 }
 
@@ -925,6 +934,59 @@ mod tests {
         let stats = pool.drain();
         assert_eq!(stats.shed, 2);
         assert_eq!(stats.served + stats.errors, 3);
+    }
+
+    #[test]
+    fn submit_wait_blocks_on_a_full_queue_instead_of_shedding() {
+        let pool = ServePool::start(
+            pool_engine(),
+            PoolConfig {
+                workers: 1,
+                max_batch: 1,
+                max_queue: 1,
+                ..PoolConfig::default()
+            },
+        );
+        // Same saturation as above: a gate job holds the only worker, and
+        // one queued job fills the queue.
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        let job = |tag: &'static str| {
+            let done = done_tx.clone();
+            ServeJob::new(PredictRequest::tokens(vec![2, 3]), move |result, _| {
+                done.send((tag, result.map_err(|e| e.kind())))
+                    .expect("send");
+            })
+        };
+        pool.submit(ServeJob::new(
+            PredictRequest::tokens(vec![1]),
+            move |_, _| {
+                release_rx.recv().expect("released");
+            },
+        ));
+        while pool.snapshot().depth > 0 {
+            std::thread::yield_now();
+        }
+        pool.submit(job("queued"));
+        let submitted = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                pool.submit_wait(job("waited"));
+                submitted.store(true, Ordering::SeqCst);
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(
+                !submitted.load(Ordering::SeqCst),
+                "blocked on the full queue"
+            );
+            release_tx.send(()).expect("release");
+        });
+        assert!(submitted.load(Ordering::SeqCst));
+        let stats = pool.drain();
+        drop(done_tx);
+        let done: Vec<_> = done_rx.iter().map(|(tag, r)| (tag, r.is_ok())).collect();
+        assert_eq!(done, vec![("queued", true), ("waited", true)]);
+        assert_eq!(stats.shed, 0);
     }
 
     #[test]

@@ -373,6 +373,33 @@ proptest! {
                 prop_assert_eq!(mv.confidence, Some(mp.confidence));
             }
         }
+
+        // `predict` is `predict_micro_batch` with a batch of one: the same
+        // answer or error kind for predictor, baseline, unknown-model and
+        // invalid requests.
+        engine.register_baseline("timeloop", llmulator_baselines::Timeloop);
+        let sample = Sample::profile(&static_loop_program(rng.gen_range(2usize..12)), None)
+            .expect("profiles");
+        let singles = [
+            request,
+            requests[0].clone(),
+            PredictRequest::sample(sample).for_model("timeloop"),
+            PredictRequest::tokens(seqs[0].clone()).for_model("ghost"),
+            PredictRequest::tokens(seqs[0].clone()).metrics(vec![]),
+            PredictRequest::tokens(seqs[0].clone()).for_model("timeloop"),
+        ];
+        for single in &singles {
+            let alone = session.predict(single);
+            let batched = session
+                .predict_micro_batch(std::slice::from_ref(single))
+                .pop()
+                .expect("one answer");
+            match (alone, batched) {
+                (Ok(alone), Ok(batched)) => prop_assert_eq!(alone, batched),
+                (Err(alone), Err(batched)) => prop_assert_eq!(alone.kind(), batched.kind()),
+                (alone, batched) => prop_assert!(false, "{:?} vs {:?}", alone, batched),
+            }
+        }
     }
 }
 
