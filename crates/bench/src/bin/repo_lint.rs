@@ -6,7 +6,8 @@
 //!    through `unpoisoned` (crates/core/src/sync.rs), which recovers the
 //!    guard instead.
 //! 2. **No `unwrap()`/`expect(` in serving hot paths.** The serve loop, the
-//!    TCP transport, the worker pool and the engine's request path must
+//!    TCP transport, the worker pool, the engine's request path and the
+//!    daemon's background calibrator (online loop and DPO step) must
 //!    degrade with typed errors, not panics; test modules (after
 //!    `#[cfg(test)]`) are exempt.
 //! 3. **No new `unsafe`.** The only sanctioned block is the signal-handler
@@ -27,7 +28,9 @@ use std::path::{Path, PathBuf};
 const HOT_PATH_FILES: &[&str] = &[
     "crates/cli/src/serve.rs",
     "crates/cli/src/net.rs",
+    "crates/core/src/calibrate.rs",
     "crates/core/src/engine.rs",
+    "crates/core/src/online.rs",
     "crates/core/src/serve_pool.rs",
 ];
 

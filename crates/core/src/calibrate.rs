@@ -10,7 +10,7 @@ use crate::dataset::Sample;
 use crate::model::NumericPredictor;
 use crate::numeric::metric_to_int;
 use llmulator_ir::{InputData, Program};
-use llmulator_nn::{AdamConfig, AdamW, Graph, Matrix};
+use llmulator_nn::{AdamConfig, AdamW, Graph, Matrix, NodeId};
 use llmulator_sim::Metric;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -32,28 +32,36 @@ pub struct PreferenceTriple {
 }
 
 /// Sliding-window replay buffer (paper's replay-cost-buffer; size 1 gives
-/// pure online updates).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplayBuffer {
-    window: VecDeque<PreferenceTriple>,
+/// pure online updates). Generic over the entry so the DPO calibrator can
+/// keep each triple's memoized reference margin beside it.
+#[derive(Debug, Clone)]
+pub struct ReplayBuffer<T = PreferenceTriple> {
+    window: VecDeque<T>,
     capacity: usize,
 }
 
 impl ReplayBuffer {
-    /// Buffer with the given window size.
+    /// Buffer of plain triples with the given window size.
     pub fn new(capacity: usize) -> ReplayBuffer {
+        ReplayBuffer::with_capacity(capacity)
+    }
+}
+
+impl<T> ReplayBuffer<T> {
+    /// Buffer with the given window size (clamped to at least 1).
+    fn with_capacity(capacity: usize) -> ReplayBuffer<T> {
         ReplayBuffer {
             window: VecDeque::new(),
             capacity: capacity.max(1),
         }
     }
 
-    /// Pushes a triple, evicting the oldest beyond capacity.
-    pub fn push(&mut self, triple: PreferenceTriple) {
+    /// Pushes an entry, evicting the oldest beyond capacity.
+    pub fn push(&mut self, entry: T) {
         if self.window.len() == self.capacity {
             self.window.pop_front();
         }
-        self.window.push_back(triple);
+        self.window.push_back(entry);
     }
 
     /// Current occupancy.
@@ -72,12 +80,24 @@ impl ReplayBuffer {
     }
 
     /// Samples a minibatch (without replacement) for replay.
-    pub fn minibatch(&self, k: usize, rng: &mut StdRng) -> Vec<&PreferenceTriple> {
-        let mut all: Vec<&PreferenceTriple> = self.window.iter().collect();
+    pub fn minibatch(&self, k: usize, rng: &mut StdRng) -> Vec<&T> {
+        let mut all: Vec<&T> = self.window.iter().collect();
         all.shuffle(rng);
         all.truncate(k.max(1));
         all
     }
+}
+
+/// A triple in the calibrator's replay window with its frozen-reference
+/// log-ratio `log π_ref(y_w) − log π_ref(y_l)`, computed once when the
+/// triple entered the window (the reference never changes while it is
+/// there).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplayEntry {
+    /// The preference observation.
+    pub triple: PreferenceTriple,
+    /// The memoized reference margin.
+    pub ref_margin: f32,
 }
 
 /// DPO calibration hyper-parameters.
@@ -115,7 +135,7 @@ impl Default for DpoConfig {
 #[derive(Debug)]
 pub struct DpoCalibrator {
     reference: NumericPredictor,
-    buffer: ReplayBuffer,
+    buffer: ReplayBuffer<ReplayEntry>,
     opt: AdamW,
     config: DpoConfig,
     rng: StdRng,
@@ -136,7 +156,7 @@ impl DpoCalibrator {
         opt.set_lr(config.lr);
         DpoCalibrator {
             reference: model.clone(),
-            buffer: ReplayBuffer::new(config.buffer_size),
+            buffer: ReplayBuffer::with_capacity(config.buffer_size),
             opt,
             config,
             rng: StdRng::seed_from_u64(config.seed),
@@ -145,7 +165,7 @@ impl DpoCalibrator {
     }
 
     /// The replay buffer (for inspection).
-    pub fn buffer(&self) -> &ReplayBuffer {
+    pub fn buffer(&self) -> &ReplayBuffer<ReplayEntry> {
         &self.buffer
     }
 
@@ -197,7 +217,17 @@ impl DpoCalibrator {
             // No preference signal when the prediction is exactly right.
             return 0;
         }
-        self.buffer.push(triple);
+        let codec = self.reference.config().codec;
+        let (ref_w, ref_l) = self.reference.log_prob_pair_value(
+            &triple.tokens,
+            triple.metric,
+            &codec.encode(triple.y_w),
+            &codec.encode(triple.y_l),
+        );
+        self.buffer.push(ReplayEntry {
+            triple,
+            ref_margin: ref_w - ref_l,
+        });
         for _ in 0..self.config.steps_per_observation {
             let loss = self.dpo_step(model);
             self.losses.push(loss);
@@ -210,59 +240,37 @@ impl DpoCalibrator {
         if self.buffer.is_empty() {
             return 0.0;
         }
-        let batch: Vec<PreferenceTriple> = self
-            .buffer
-            .minibatch(self.config.minibatch, &mut self.rng)
-            .into_iter()
-            .cloned()
-            .collect();
-        let beta = self.config.beta;
-        let codec = model.config().codec;
-        let mut total_loss = 0.0f32;
-        let mut acc: Option<Vec<(llmulator_nn::ParamId, Matrix)>> = None;
-        for triple in &batch {
-            let dw = codec.encode(triple.y_w);
-            let dl = codec.encode(triple.y_l);
-            // Frozen reference log-ratio (a constant w.r.t. θ).
-            let ref_w = self
-                .reference
-                .log_prob_value(&triple.tokens, triple.metric, &dw);
-            let ref_l = self
-                .reference
-                .log_prob_value(&triple.tokens, triple.metric, &dl);
-            let ref_margin = ref_w - ref_l;
-            // Policy log-ratio on the tape.
-            let mut g = Graph::new();
-            let store = model.store();
-            let lp_w = model.log_prob_node(&mut g, store, &triple.tokens, triple.metric, &dw);
-            let lp_l = model.log_prob_node(&mut g, store, &triple.tokens, triple.metric, &dl);
-            let margin = g.sub(lp_w, lp_l);
-            let shift = g.input(Matrix::from_vec(1, 1, vec![-ref_margin]));
-            let centered = g.add(margin, shift);
-            let scaled = g.scale(centered, beta);
-            let logsig = g.log_sigmoid(scaled);
-            let loss = g.scale(logsig, -1.0);
-            total_loss += g.value(loss).get(0, 0);
-            g.backward(loss);
-            let grads = g.param_grads(store);
-            match &mut acc {
-                None => acc = Some(grads),
-                Some(a) => {
-                    for ((_, x), (_, y)) in a.iter_mut().zip(grads) {
-                        x.add_assign(&y);
-                    }
-                }
-            }
-        }
-        if let Some(mut grads) = acc {
-            let inv = 1.0 / batch.len() as f32;
-            for (_, m) in &mut grads {
-                m.scale_assign(inv);
-            }
-            self.opt.apply(model.store_mut(), &grads);
-        }
-        total_loss / batch.len() as f32
+        let batch = self.buffer.minibatch(self.config.minibatch, &mut self.rng);
+        let policy = &*model;
+        let (loss, grads) =
+            llmulator_nn::train::batch_grads(policy.store(), &batch, 1, |g, _, entry| {
+                dpo_loss(g, policy, entry, self.config.beta)
+            });
+        self.opt.apply(model.store_mut(), &grads);
+        loss
     }
+}
+
+/// The per-triple DPO loss of paper Eq. 2 as a `1×1` tape node:
+/// `−log σ(β·((log π(y_w) − log π(y_l)) − ref_margin))`, with both policy
+/// log-probabilities read off one encoder pass.
+fn dpo_loss(g: &mut Graph, policy: &NumericPredictor, entry: &ReplayEntry, beta: f32) -> NodeId {
+    let t = &entry.triple;
+    let codec = policy.config().codec;
+    let (lp_w, lp_l) = policy.log_prob_pair_node(
+        g,
+        policy.store(),
+        &t.tokens,
+        t.metric,
+        &codec.encode(t.y_w),
+        &codec.encode(t.y_l),
+    );
+    let margin = g.sub(lp_w, lp_l);
+    let shift = g.input(Matrix::from_vec(1, 1, vec![-entry.ref_margin]));
+    let centered = g.add(margin, shift);
+    let scaled = g.scale(centered, beta);
+    let logsig = g.log_sigmoid(scaled);
+    g.scale(logsig, -1.0)
 }
 
 /// Per-iteration record of a calibration run.
@@ -468,6 +476,130 @@ mod tests {
         assert!(
             late <= early + 1e-9,
             "calibration should not worsen error: early {early:.3}, late {late:.3}"
+        );
+    }
+
+    #[test]
+    fn pair_log_probs_match_two_single_passes_bit_for_bit() {
+        let model = tiny_model();
+        let codec = model.config().codec;
+        let tokens: Vec<u32> = vec![5, 6, 7, 8, 9];
+        for (y_w, y_l) in [(1234u64, 7777u64), (0, 9999), (42, 41)] {
+            let (dw, dl) = (codec.encode(y_w), codec.encode(y_l));
+            let (pw, pl) = model.log_prob_pair_value(&tokens, Metric::Cycles, &dw, &dl);
+            let sw = model.log_prob_value(&tokens, Metric::Cycles, &dw);
+            let sl = model.log_prob_value(&tokens, Metric::Cycles, &dl);
+            assert_eq!((pw.to_bits(), pl.to_bits()), (sw.to_bits(), sl.to_bits()));
+            // The same holds against two full encodes on one tape.
+            let mut g = Graph::new();
+            let store = model.store();
+            let (nw, nl) =
+                model.log_prob_pair_node(&mut g, store, &tokens, Metric::Power, &dw, &dl);
+            let tw = model.log_prob_node(&mut g, store, &tokens, Metric::Power, &dw);
+            let tl = model.log_prob_node(&mut g, store, &tokens, Metric::Power, &dl);
+            assert_eq!(g.value(nw).data(), g.value(tw).data());
+            assert_eq!(g.value(nl).data(), g.value(tl).data());
+        }
+    }
+
+    #[test]
+    fn stored_margins_match_a_fresh_reference_pass_after_eviction() {
+        let mut model = tiny_model();
+        let reference = model.clone();
+        let capacity = 4;
+        let mut cal = DpoCalibrator::new(
+            &model,
+            DpoConfig {
+                buffer_size: capacity,
+                minibatch: 2,
+                steps_per_observation: 1,
+                ..DpoConfig::default()
+            },
+        );
+        for i in 0..(capacity + 3) as u64 {
+            let triple = PreferenceTriple {
+                tokens: vec![3 + i as u32, 7, 11],
+                metric: Metric::Cycles,
+                y_w: 100 * i + 7,
+                y_l: 50 * i + 900,
+            };
+            assert_eq!(cal.observe_triple(&mut model, triple), 1);
+        }
+        assert_ne!(
+            model.log_prob_value(&[3, 7, 11], Metric::Cycles, &[0, 0, 0, 7]),
+            reference.log_prob_value(&[3, 7, 11], Metric::Cycles, &[0, 0, 0, 7]),
+            "the policy moved while the reference stayed frozen"
+        );
+        let codec = reference.config().codec;
+        let mut rng = StdRng::seed_from_u64(0);
+        let entries = cal.buffer().minibatch(usize::MAX, &mut rng);
+        let mut survivors: Vec<u64> = entries.iter().map(|e| e.triple.y_w).collect();
+        survivors.sort_unstable();
+        assert_eq!(survivors, vec![307, 407, 507, 607], "oldest evicted first");
+        for e in entries {
+            let t = &e.triple;
+            let fresh = reference.log_prob_value(&t.tokens, t.metric, &codec.encode(t.y_w))
+                - reference.log_prob_value(&t.tokens, t.metric, &codec.encode(t.y_l));
+            assert_eq!(e.ref_margin.to_bits(), fresh.to_bits(), "y_w {}", t.y_w);
+        }
+    }
+
+    /// Central finite differences of one DPO loss agree with the
+    /// shared-encoder tape's gradient, at each parameter's largest entry.
+    #[test]
+    fn dpo_loss_gradient_matches_central_differences() {
+        let mut model = tiny_model();
+        let entry = ReplayEntry {
+            triple: PreferenceTriple {
+                tokens: vec![5, 6, 7, 8, 9, 10],
+                metric: Metric::Cycles,
+                y_w: 1234,
+                y_l: 7777,
+            },
+            ref_margin: 0.3,
+        };
+        let beta = 0.5;
+        let loss_at = |m: &NumericPredictor| {
+            let mut g = Graph::new();
+            let l = dpo_loss(&mut g, m, &entry, beta);
+            g.value(l).get(0, 0)
+        };
+        let mut g = Graph::new();
+        let loss = dpo_loss(&mut g, &model, &entry, beta);
+        g.backward(loss);
+        let grads = g.param_grads(model.store());
+        let ids: std::collections::HashSet<_> = grads.iter().map(|(pid, _)| *pid).collect();
+        assert_eq!(ids.len(), grads.len(), "each parameter listed once");
+        let eps = 1e-3f32;
+        let mut checked = 0;
+        for (pid, grad) in &grads {
+            let (at, &analytic) = grad
+                .data()
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
+                .expect("non-empty parameter");
+            if analytic == 0.0 {
+                continue;
+            }
+            let orig = model.store().get(*pid).data()[at];
+            model.store_mut().get_mut(*pid).data_mut()[at] = orig + eps;
+            let plus = loss_at(&model);
+            model.store_mut().get_mut(*pid).data_mut()[at] = orig - eps;
+            let minus = loss_at(&model);
+            model.store_mut().get_mut(*pid).data_mut()[at] = orig;
+            let numeric = (plus - minus) / (2.0 * eps);
+            assert!(
+                (analytic - numeric).abs() <= 2e-2 * analytic.abs().max(numeric.abs()) + 1e-3,
+                "{}[{at}]: analytic {analytic}, numeric {numeric}",
+                model.store().name(*pid)
+            );
+            checked += 1;
+        }
+        assert!(
+            checked >= grads.len() / 2,
+            "checked {checked} of {}",
+            grads.len()
         );
     }
 

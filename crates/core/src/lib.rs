@@ -60,7 +60,7 @@ pub use accel::{AccelStats, CachedPredictor};
 pub use cache::{content_hash, write_atomic, CacheStats, DatasetCache};
 pub use calibrate::{
     calibrate_cycles, CalibrationStep, CalibrationTrace, DpoCalibrator, DpoConfig,
-    PreferenceTriple, ReplayBuffer,
+    PreferenceTriple, ReplayBuffer, ReplayEntry,
 };
 pub use dataset::{CostModel, Dataset, Sample};
 pub use encode::{fusion_group_key, group_by_key, SegmentedText};

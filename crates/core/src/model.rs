@@ -628,6 +628,38 @@ impl NumericPredictor {
         metric: Metric,
         digits: &[u8],
     ) -> NodeId {
+        let logits = self.head_logits(g, store, tokens, metric);
+        self.digits_log_prob(g, logits, digits)
+    }
+
+    /// `(log π(a | tokens), log π(b | tokens))` for one metric from a single
+    /// encoder pass and metric-head registration — the DPO preference pair.
+    /// Forward values are bit-identical to two [`Self::log_prob_node`]
+    /// calls; the backward sweep runs through the encoder once.
+    pub fn log_prob_pair_node(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        tokens: &[u32],
+        metric: Metric,
+        a: &[u8],
+        b: &[u8],
+    ) -> (NodeId, NodeId) {
+        let logits = self.head_logits(g, store, tokens, metric);
+        let lp_a = self.digits_log_prob(g, logits, a);
+        let lp_b = self.digits_log_prob(g, logits, b);
+        (lp_a, lp_b)
+    }
+
+    /// Encodes `tokens` and applies `metric`'s digit head: a `1×(width·base)`
+    /// logits node.
+    fn head_logits(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        tokens: &[u32],
+        metric: Metric,
+    ) -> NodeId {
         let out = self.encoder.encode(g, store, tokens, None);
         let idx = Metric::all()
             .iter()
@@ -637,7 +669,11 @@ impl NumericPredictor {
         let w = g.param(store, h.w);
         let b = g.param(store, h.b);
         let l = g.matmul(out.pooled, w);
-        let logits = g.add_row(l, b);
+        g.add_row(l, b)
+    }
+
+    /// Summed per-position digit log-probabilities read off `logits`.
+    fn digits_log_prob(&self, g: &mut Graph, logits: NodeId, digits: &[u8]) -> NodeId {
         let base = self.config.codec.base as usize;
         let mut total: Option<NodeId> = None;
         for (j, &d) in digits.iter().enumerate().take(self.config.codec.width) {
@@ -657,6 +693,20 @@ impl NumericPredictor {
         let mut g = Graph::new();
         let node = self.log_prob_node(&mut g, &self.store, tokens, metric, digits);
         g.value(node).get(0, 0)
+    }
+
+    /// Forward-only [`Self::log_prob_pair_node`]: both log-probabilities
+    /// from one encoder pass.
+    pub fn log_prob_pair_value(
+        &self,
+        tokens: &[u32],
+        metric: Metric,
+        a: &[u8],
+        b: &[u8],
+    ) -> (f32, f32) {
+        let mut g = Graph::new();
+        let (a, b) = self.log_prob_pair_node(&mut g, &self.store, tokens, metric, a, b);
+        (g.value(a).get(0, 0), g.value(b).get(0, 0))
     }
 
     /// Mutable access for the optimizer (crate-internal).
@@ -789,6 +839,43 @@ mod tests {
             .map(|p| p.max(1e-9).ln())
             .sum();
         assert!((lp - manual).abs() < 1e-3, "{lp} vs {manual}");
+    }
+
+    /// Encoding twice on one tape reuses each parameter's leaf, so the
+    /// tape's gradient is the sum of the two single-pass gradients and
+    /// every parameter is listed once.
+    #[test]
+    fn two_log_prob_nodes_on_one_tape_sum_their_gradients() {
+        let model = NumericPredictor::new(tiny_config());
+        let store = model.store();
+        let tokens = [4u32, 9, 12, 3];
+        let (a, b) = ([0u8, 1, 2, 3], [9u8, 8, 7, 6]);
+        let single = |digits: &[u8]| {
+            let mut g = Graph::new();
+            let lp = model.log_prob_node(&mut g, store, &tokens, Metric::Cycles, digits);
+            g.backward(lp);
+            g.param_grads(store)
+        };
+        let (ga, gb) = (single(&a), single(&b));
+        let mut g = Graph::new();
+        let la = model.log_prob_node(&mut g, store, &tokens, Metric::Cycles, &a);
+        let lb = model.log_prob_node(&mut g, store, &tokens, Metric::Cycles, &b);
+        let sum = g.add(la, lb);
+        g.backward(sum);
+        let both = g.param_grads(store);
+        let ids: std::collections::HashSet<_> = both.iter().map(|(pid, _)| *pid).collect();
+        assert_eq!(ids.len(), both.len(), "distinct ids");
+        assert_eq!(both.len(), ga.len());
+        for (((pid, m), (pa, ma)), (pb, mb)) in both.iter().zip(&ga).zip(&gb) {
+            assert_eq!((pid, pid), (pa, pb), "same registration order");
+            for ((x, y), z) in m.data().iter().zip(ma.data()).zip(mb.data()) {
+                assert!(
+                    (x - (y + z)).abs() < 1e-6,
+                    "{}: {x} vs {y} + {z}",
+                    store.name(*pid)
+                );
+            }
+        }
     }
 
     #[test]

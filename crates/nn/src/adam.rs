@@ -77,8 +77,18 @@ impl AdamW {
     ///
     /// # Panics
     ///
-    /// Panics if a gradient's shape does not match its parameter.
+    /// Panics if a gradient's shape does not match its parameter, or if a
+    /// parameter appears twice in `grads` (its moments would advance twice
+    /// in one step).
     pub fn apply(&mut self, store: &mut ParamStore, grads: &[(ParamId, Matrix)]) {
+        let mut seen = vec![false; self.m.len()];
+        for (pid, _) in grads {
+            assert!(
+                !std::mem::replace(&mut seen[pid.0], true),
+                "parameter {} listed twice in one update",
+                pid.0
+            );
+        }
         self.step += 1;
         let c = self.config;
         // Global norm clipping.
@@ -179,6 +189,16 @@ mod tests {
         opt.apply(&mut store, &[(pid, Matrix::from_vec(1, 1, vec![1e6]))]);
         // One Adam step moves at most ~lr regardless of raw gradient.
         assert!(store.get(pid).get(0, 0).abs() < 0.2);
+    }
+
+    #[test]
+    #[should_panic(expected = "listed twice")]
+    fn duplicate_parameter_ids_are_rejected() {
+        let mut store = ParamStore::new();
+        let pid = store.add("w", Matrix::zeros(1, 1));
+        let mut opt = AdamW::new(&store, AdamConfig::default());
+        let g = Matrix::from_vec(1, 1, vec![1.0]);
+        opt.apply(&mut store, &[(pid, g.clone()), (pid, g)]);
     }
 
     #[test]

@@ -163,7 +163,13 @@ impl Graph {
     }
 
     /// Registers a parameter leaf, copying its current value from the store.
+    /// Registering the same parameter again on this tape returns the
+    /// existing leaf, so every use shares one gradient slot and
+    /// [`Graph::param_grads`] lists each parameter once.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
+        if let Some(&(_, node)) = self.param_nodes.iter().find(|(pid, _)| *pid == id) {
+            return node;
+        }
         let node = self.push(store.get(id).clone(), Op::Leaf);
         self.param_nodes.push((id, node));
         node
@@ -581,7 +587,8 @@ impl Graph {
         self.grads.get(id.0).and_then(|g| g.as_ref())
     }
 
-    /// Gradients of all registered parameters (missing grads are zeros).
+    /// Gradients of all registered parameters, one entry per distinct
+    /// parameter in registration order (missing grads are zeros).
     pub fn param_grads(&self, store: &ParamStore) -> Vec<(ParamId, Matrix)> {
         self.param_nodes
             .iter()
@@ -778,6 +785,26 @@ mod tests {
         assert_eq!(g.value(cat).shape(), (2, 3));
         let back = g.slice_cols(cat, 2, 1);
         assert_eq!(g.value(back).data(), &[5., 6.]);
+    }
+
+    #[test]
+    fn reregistered_param_shares_one_leaf_and_one_gradient() {
+        let mut store = ParamStore::new();
+        let pid = store.add("w", Matrix::from_vec(1, 2, vec![0.5, -1.0]));
+        let mut g = Graph::new();
+        let a = g.param(&store, pid);
+        let b = g.param(&store, pid);
+        assert_eq!(a, b, "same parameter, same leaf");
+        // d/dw (w·w summed) = 2w, reached through both operands of one node.
+        let sq = g.mul_elem(a, b);
+        let m = g.mean_rows(sq);
+        let x = g.slice_cols(m, 0, 1);
+        let y = g.slice_cols(m, 1, 1);
+        let loss = g.add(x, y);
+        g.backward(loss);
+        let grads = g.param_grads(&store);
+        assert_eq!(grads.len(), 1, "listed once");
+        assert_eq!(grads[0].1.data(), &[1.0, -2.0]);
     }
 
     #[test]

@@ -68,7 +68,8 @@ pub fn par_map_init<T: Sync, R: Send, S>(
 /// loss plus summed parameter gradients.
 ///
 /// `build` must construct the forward pass and return the `1×1` loss node for
-/// one item. The parameter store is shared read-only across threads.
+/// one item. The parameter store is shared read-only across threads; a
+/// single thread runs inline on the caller's.
 pub fn batch_grads<T: Sync>(
     store: &ParamStore,
     items: &[T],
@@ -78,38 +79,45 @@ pub fn batch_grads<T: Sync>(
     if items.is_empty() {
         return (0.0, Vec::new());
     }
-    let threads = threads.clamp(1, items.len());
-    let chunk = items.len().div_ceil(threads);
-    let results: Vec<(f32, Vec<(ParamId, Matrix)>)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for piece in items.chunks(chunk) {
-            let build = &build;
-            handles.push(scope.spawn(move || {
-                let mut loss_sum = 0.0f32;
-                let mut grads: Option<Vec<(ParamId, Matrix)>> = None;
-                for item in piece {
-                    let mut g = Graph::new();
-                    let loss = build(&mut g, store, item);
-                    loss_sum += g.value(loss).get(0, 0);
-                    g.backward(loss);
-                    let bg = g.param_grads(store);
-                    match &mut grads {
-                        None => grads = Some(bg),
-                        Some(acc) => {
-                            for ((_, a), (_, b)) in acc.iter_mut().zip(bg) {
-                                a.add_assign(&b);
-                            }
-                        }
+    let piece_grads = |piece: &[T]| {
+        let mut loss_sum = 0.0f32;
+        let mut grads: Option<Vec<(ParamId, Matrix)>> = None;
+        for item in piece {
+            let mut g = Graph::new();
+            let loss = build(&mut g, store, item);
+            loss_sum += g.value(loss).get(0, 0);
+            g.backward(loss);
+            let bg = g.param_grads(store);
+            match &mut grads {
+                None => grads = Some(bg),
+                Some(acc) => {
+                    for ((_, a), (_, b)) in acc.iter_mut().zip(bg) {
+                        a.add_assign(&b);
                     }
                 }
-                (loss_sum, grads.unwrap_or_default())
-            }));
+            }
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("training worker panicked"))
-            .collect()
-    });
+        (loss_sum, grads.unwrap_or_default())
+    };
+    let threads = threads.clamp(1, items.len());
+    let results: Vec<(f32, Vec<(ParamId, Matrix)>)> = if threads == 1 {
+        vec![piece_grads(items)]
+    } else {
+        let chunk = items.len().div_ceil(threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = items
+                .chunks(chunk)
+                .map(|piece| {
+                    let piece_grads = &piece_grads;
+                    scope.spawn(move || piece_grads(piece))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("training worker panicked"))
+                .collect()
+        })
+    };
 
     let mut total_loss = 0.0f32;
     let mut acc: Option<Vec<(ParamId, Matrix)>> = None;
