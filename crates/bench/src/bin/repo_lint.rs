@@ -6,9 +6,10 @@
 //!    through `unpoisoned` (crates/core/src/sync.rs), which recovers the
 //!    guard instead.
 //! 2. **No `unwrap()`/`expect(` in serving hot paths.** The serve loop, the
-//!    TCP transport, the worker pool, the engine's request path and the
-//!    daemon's background calibrator (online loop and DPO step) must
-//!    degrade with typed errors, not panics; test modules (after
+//!    TCP transport, the worker pool, the engine's request path, the IR
+//!    parser every program request goes through, the encoder inference
+//!    kernel and the daemon's background calibrator (online loop and DPO
+//!    step) must degrade with typed errors, not panics; test modules (after
 //!    `#[cfg(test)]`) are exempt.
 //! 3. **No new `unsafe`.** The only sanctioned block is the signal-handler
 //!    FFI in crates/cli/src/net.rs; anything else needs a deliberate
@@ -32,6 +33,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/engine.rs",
     "crates/core/src/online.rs",
     "crates/core/src/serve_pool.rs",
+    "crates/ir/src/parse.rs",
+    "crates/nn/src/infer.rs",
 ];
 
 /// Files allowed to contain `unsafe` (rule 3).

@@ -205,13 +205,15 @@ fn handle_connection(stream: TcpStream, pool: &ServePool, transport: Arc<Transpo
     direct_errors
 }
 
-/// The reader loop: accumulates bytes into lines, tolerating split and
-/// coalesced TCP frames, and dispatches each complete line. Returns on
-/// EOF, connection error, client hang-up (`gone`), [`SHUTDOWN`], or a
-/// shutdown request. Lines longer than [`MAX_LINE_BYTES`] are answered
-/// with a structured error and skipped without buffering them.
-fn read_lines(
-    mut reader: BufReader<TcpStream>,
+/// The reader loop of both transports (a TCP connection or stdin):
+/// accumulates bytes into lines, tolerating split and coalesced TCP
+/// frames, and dispatches each complete line. Returns on EOF, read error,
+/// client hang-up (`gone`), [`SHUTDOWN`], or a shutdown request. Lines
+/// longer than [`MAX_LINE_BYTES`] are answered with a structured error and
+/// skipped without buffering them; invalid UTF-8 is decoded lossily, so it
+/// costs its line one error response and never ends the loop.
+pub(crate) fn read_lines(
+    mut reader: impl BufRead,
     dispatcher: &mut Dispatcher<'_>,
     gone: &AtomicBool,
 ) {
@@ -262,8 +264,7 @@ fn read_lines(
             Step::Wait => continue,
             Step::Fatal => return,
             Step::Eof => {
-                // A trailing unterminated line still gets an answer, same
-                // as stdin's `lines()`.
+                // A trailing unterminated line still gets an answer.
                 if !skipping && !line.is_empty() {
                     dispatch_bytes(dispatcher, &line);
                 }

@@ -62,7 +62,7 @@ use llmulator::{
 use llmulator_sim::Metric;
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -325,18 +325,9 @@ fn serve_stdin(pool: ServePool) -> ServeSummary {
         // practice).
         let mut dispatcher =
             Dispatcher::new(&pool, ResponseTx::Unbounded(tx), Arc::clone(&transport));
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if gone.load(Ordering::Relaxed) {
-                // Stdout hung up (EPIPE): stop reading, drain, exit clean —
-                // `llmulator serve | head` must not error.
-                break;
-            }
-            if !dispatcher.dispatch(&line) {
-                break;
-            }
-        }
+        // A stdout hang-up (EPIPE) sets `gone`: stop reading, drain, exit
+        // clean — `llmulator serve | head` must not error.
+        crate::net::read_lines(std::io::stdin().lock(), &mut dispatcher, &gone);
         direct_errors = dispatcher.direct_errors;
     }
     let stats = pool.drain();

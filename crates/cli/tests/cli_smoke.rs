@@ -266,17 +266,22 @@ fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
 
     // One program request (source text goes through JSON string escaping),
     // one pre-tokenized request with a metric subset, one malformed line,
-    // and one unknown-model request.
+    // one unknown-model request, a line with an invalid UTF-8 byte, a line
+    // of 200 000 `[`, and a last request that must still be answered.
     let program_line = format!(
         "{{\"id\": \"prog-1\", \"program\": {}, \"inputs\": {{\"n\": 3}}}}",
         serde_json::Value::Str(tiny_program_text())
     );
-    let requests = format!(
+    let mut requests = format!(
         "{program_line}\n\
          {{\"id\": 2, \"tokens\": [1, 2, 3], \"metrics\": [\"cycles\"]}}\n\
          not json at all\n\
          {{\"id\": 4, \"tokens\": [9], \"model\": \"nope\"}}\n"
-    );
+    )
+    .into_bytes();
+    requests.extend_from_slice(b"{\"id\":5,\"tokens\":[4,\xff5]}\n");
+    requests.extend_from_slice(&[b'['; 200_000]);
+    requests.extend_from_slice(b"\n{\"id\": 7, \"tokens\": [1, 2]}\n");
 
     let mut child = std::process::Command::new(bin())
         .args([
@@ -295,7 +300,7 @@ fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
         .stdin
         .take()
         .expect("stdin piped")
-        .write_all(requests.as_bytes())
+        .write_all(&requests)
         .expect("requests written");
     let out = child.wait_with_output().expect("daemon exits");
     assert!(
@@ -306,7 +311,7 @@ fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
 
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 4, "one response per request line:\n{stdout}");
+    assert_eq!(lines.len(), 7, "one response per request line:\n{stdout}");
 
     // Responses are id-correlated, in request order.
     assert!(lines[0].contains("\"id\":\"prog-1\""), "{}", lines[0]);
@@ -335,6 +340,15 @@ fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
         "{}",
         lines[3]
     );
+    // Invalid UTF-8 and over-deep nesting each cost their line one error;
+    // the line after them is still answered.
+    for (line, cause) in [(lines[4], "malformed JSON"), (lines[5], "nesting deeper")] {
+        assert!(line.contains("\"id\":null"), "{line}");
+        assert!(line.contains("\"kind\":\"invalid_request\""), "{line}");
+        assert!(line.contains(cause), "{line}");
+    }
+    assert!(lines[6].contains("\"id\":7"), "{}", lines[6]);
+    assert!(lines[6].contains("\"ok\":true"), "{}", lines[6]);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

@@ -576,7 +576,9 @@ fn stdin_mode_tolerates_stdout_hangup_with_a_clean_exit() {
 }
 
 /// An oversized request line is answered with a structured error and
-/// skipped; the connection (and the daemon) keep working.
+/// skipped, and so is a line of 200 000 `[` (deep enough to overflow a
+/// recursive JSON parser's stack); the connection (and the daemon) keep
+/// working.
 #[test]
 fn oversized_lines_get_a_structured_error_and_the_connection_survives() {
     let daemon = Daemon::spawn(&[]);
@@ -585,19 +587,25 @@ fn oversized_lines_get_a_structured_error_and_the_connection_survives() {
     let huge = "a".repeat(2 * 1024 * 1024);
     conn.write_all(huge.as_bytes()).expect("oversize sent");
     conn.write_all(b"\n").expect("newline sent");
+    conn.write_all(&[b'['; 200_000]).expect("nesting sent");
+    conn.write_all(b"\n").expect("newline sent");
     conn.write_all((request_line(7, 0) + "\n").as_bytes())
         .expect("probe sent");
-    let responses = read_lines(&mut reader, 2);
+    let responses = read_lines(&mut reader, 3);
+    for (line, cause) in [
+        (&responses[0], "exceeds"),
+        (&responses[1], "nesting deeper"),
+    ] {
+        assert!(
+            line.contains("\"kind\":\"invalid_request\"") && line.contains(cause),
+            "{line}"
+        );
+        assert!(line.contains("\"id\":null"), "{line}");
+    }
     assert!(
-        responses[0].contains("\"kind\":\"invalid_request\"") && responses[0].contains("exceeds"),
+        responses[2].contains("\"id\":\"c7-r0\"") && responses[2].contains("\"ok\":true"),
         "{}",
-        responses[0]
-    );
-    assert!(responses[0].contains("\"id\":null"), "{}", responses[0]);
-    assert!(
-        responses[1].contains("\"id\":\"c7-r0\"") && responses[1].contains("\"ok\":true"),
-        "{}",
-        responses[1]
+        responses[2]
     );
     daemon.shutdown_and_wait();
 }

@@ -30,13 +30,12 @@ pub fn parse_program(text: &str) -> Result<Program, IrError> {
     }
     let hw = parser.hardware_params()?;
     parser.expect_eof()?;
-    if functions.is_empty() {
+    let Some(graph_fn) = functions.pop() else {
         return Err(IrError::Parse {
             offset: 0,
             message: "expected at least one `void` function".into(),
         });
-    }
-    let graph_fn = functions.pop().expect("non-empty");
+    };
     let graph = lower_graph(graph_fn)?;
     Ok(Program::new(graph, functions, hw))
 }

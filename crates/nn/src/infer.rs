@@ -11,18 +11,19 @@
 //! [`crate::matrix`] and the [`Scratch`] arena so steady-state inference
 //! allocates nothing:
 //!
-//! * [`forward`] — full-sequence forward pass (the hot path behind every
-//!   prediction), bit-identical to the autodiff tape forward in
-//!   [`Transformer::encode`];
+//! * one encoder inference kernel behind [`forward`] and [`forward_packed`]
+//!   — the hot path behind every prediction, bit-identical to the autodiff
+//!   tape forward in [`Transformer::encode`]. It packs a group of
+//!   same-length sequences into one activation matrix, so each per-layer
+//!   projection runs as a single blocked GEMM for the whole group, while
+//!   attention stays block-diagonal with an optional per-sample mask.
+//!   [`forward`] is a pack of one, and every packed sample is bit-identical
+//!   to [`forward`] on that sample alone;
 //! * [`encode_cached`] — the incremental path recomputing only rows
 //!   reachable (per mask) from changed tokens.
 //!
-//! [`encode_batch`] fans [`forward`] out across scoped threads for batch
-//! workloads, and [`forward_packed`] adds batch-level kernel fusion on top:
-//! a group of same-length sequences is packed into one activation matrix so
-//! each per-layer projection runs as a single blocked GEMM for the whole
-//! group (attention stays block-diagonal), bit-identical per sample to
-//! [`forward`].
+//! [`encode_naive`] keeps the pre-optimization row loop as the independent
+//! test oracle for the kernel.
 
 use crate::graph::ParamStore;
 use crate::matrix::{softmax_slice, Matrix};
@@ -129,16 +130,20 @@ fn layer_norm_into(x: &Matrix, gain: &Matrix, bias: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// One attention head over column block `off..off+hd`: fills `scores` with
-/// the softmaxed (scaled, masked) attention weights and writes the weighted
-/// values into `cat`'s column block. `vh`/`head_out` are `n × hd` scratch
-/// matrices.
+/// One attention head over column block `off..off+hd` of one sample: the
+/// `n = scores.rows()` rows of `q`/`k`/`v` starting at `base`, attended
+/// under that sample's `n × n` additive `mask`. Fills `scores` with the
+/// softmaxed (scaled, masked) weights and writes the weighted values into
+/// the sample's rows of `cat`'s column block. `vh`/`head_out` are `n × hd`
+/// scratch matrices. The block's rows are walked as zero-based slices, so
+/// every sample of a pack runs exactly the single-sequence loop.
 #[allow(clippy::too_many_arguments)]
 fn attention_head(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
     mask: Option<&Matrix>,
+    base: usize,
     off: usize,
     hd: usize,
     scale: f32,
@@ -147,37 +152,36 @@ fn attention_head(
     head_out: &mut Matrix,
     cat: &mut Matrix,
 ) {
-    let n = q.rows();
-    for i in 0..n {
-        let qr = &q.row(i)[off..off + hd];
+    let n = scores.rows();
+    let d = q.cols();
+    let qb = &q.data()[base * d..(base + n) * d];
+    let kb = &k.data()[base * d..(base + n) * d];
+    for (i, qr) in qb.chunks_exact(d).enumerate() {
+        let qr = &qr[off..off + hd];
         let sr = scores.row_mut(i);
         // A plain zip dot beats a multi-row unroll at head dimension ≤ 16:
         // the iterator pair carries no bounds checks and the compiler fully
         // unrolls the short inner loop. Scale/mask are fused into the same
         // pass ((dot·scale) + mask, the tape's association), tracking the
         // row maximum in `j` order exactly as the softmax fold would.
+        let dots = kb.chunks_exact(d).map(|kr| {
+            let kr = &kr[off..off + hd];
+            qr.iter()
+                .zip(kr)
+                .fold(0.0f32, |acc, (&qv, &kv)| acc + qv * kv)
+                * scale
+        });
         let mut mx = f32::NEG_INFINITY;
         match mask {
             Some(m) => {
-                for (j, s) in sr.iter_mut().enumerate() {
-                    let kr = &k.row(j)[off..off + hd];
-                    let mut acc = 0.0f32;
-                    for (&qv, &kv) in qr.iter().zip(kr) {
-                        acc += qv * kv;
-                    }
-                    let sv = acc * scale + m.get(i, j);
+                for ((s, sv), &mv) in sr.iter_mut().zip(dots).zip(m.row(i)) {
+                    let sv = sv + mv;
                     mx = mx.max(sv);
                     *s = sv;
                 }
             }
             None => {
-                for (j, s) in sr.iter_mut().enumerate() {
-                    let kr = &k.row(j)[off..off + hd];
-                    let mut acc = 0.0f32;
-                    for (&qv, &kv) in qr.iter().zip(kr) {
-                        acc += qv * kv;
-                    }
-                    let sv = acc * scale;
+                for (s, sv) in sr.iter_mut().zip(dots) {
                     mx = mx.max(sv);
                     *s = sv;
                 }
@@ -185,56 +189,17 @@ fn attention_head(
         }
         crate::matrix::softmax_slice_with_max(sr, mx);
     }
-    // head_out = scores × v[:, off..off+hd] through the blocked kernel on a
-    // materialized head slice — the same structure (and bit pattern) as the
-    // tape's slice_cols + matmul.
-    v.gather_block_into(0, n, off, hd, vh);
-    scores.matmul_into(vh, head_out);
-    cat.scatter_block_from(0, off, head_out);
-}
-
-/// [`attention_head`] for one sample's `n`-row block starting at `base`
-/// inside a packed group matrix (mask-free, the batch-prediction case).
-/// Identical per-element operations in identical order, so the block's
-/// output is bit-identical to [`attention_head`] on that sample alone.
-#[allow(clippy::too_many_arguments)]
-fn attention_head_packed(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    base: usize,
-    n: usize,
-    off: usize,
-    hd: usize,
-    scale: f32,
-    scores: &mut Matrix,
-    vh: &mut Matrix,
-    head_out: &mut Matrix,
-    cat: &mut Matrix,
-) {
-    for i in 0..n {
-        let qr = &q.row(base + i)[off..off + hd];
-        let sr = scores.row_mut(i);
-        let mut mx = f32::NEG_INFINITY;
-        for (j, s) in sr.iter_mut().enumerate() {
-            let kr = &k.row(base + j)[off..off + hd];
-            let mut acc = 0.0f32;
-            for (&qv, &kv) in qr.iter().zip(kr) {
-                acc += qv * kv;
-            }
-            let sv = acc * scale;
-            mx = mx.max(sv);
-            *s = sv;
-        }
-        crate::matrix::softmax_slice_with_max(sr, mx);
-    }
+    // head_out = scores × v[block, off..off+hd] through the blocked kernel on
+    // a materialized head slice — the same structure (and bit pattern) as
+    // the tape's slice_cols + matmul.
     v.gather_block_into(base, base + n, off, hd, vh);
     scores.matmul_into(vh, head_out);
     cat.scatter_block_from(base, off, head_out);
 }
 
 /// Full-sequence forward pass on the blocked kernels, allocation-free via
-/// `scratch` — the production prediction path.
+/// `scratch` — the production prediction path, run as [`forward_packed`]'s
+/// kernel with a pack of one.
 ///
 /// Computes the identical sequence of floating-point operations as the
 /// autodiff tape forward ([`Transformer::encode`]) without building a tape,
@@ -253,112 +218,7 @@ pub fn forward(
     mask: Option<&Matrix>,
     scratch: &mut Scratch,
 ) -> (Matrix, Matrix) {
-    let raw = t.raw();
-    let cfg = raw.config;
-    let n = tokens.len().min(cfg.max_len).max(1);
-    let ids: Vec<usize> = tokens
-        .iter()
-        .take(n)
-        .map(|&tok| clamp_token(tok, cfg.vocab_size))
-        .collect();
-    if let Some(m) = mask {
-        assert_eq!(m.shape(), (ids.len(), ids.len()), "mask shape");
-    }
-    let n = ids.len();
-    let d = cfg.d_model;
-    let heads = cfg.n_heads;
-    let hd = d / heads;
-
-    // ---- embeddings ----
-    let tok_table = store.get(raw.tok_embed);
-    let pos_table = store.get(raw.pos_embed);
-    let mut x = scratch.matrix(n, d);
-    for (i, &id) in ids.iter().enumerate() {
-        for ((o, &tv), &pv) in x
-            .row_mut(i)
-            .iter_mut()
-            .zip(tok_table.row(id))
-            .zip(pos_table.row(i))
-        {
-            *o = tv + pv;
-        }
-    }
-
-    // ---- layers ----
-    let mut ln = scratch.matrix(n, d);
-    let mut q = scratch.matrix(n, d);
-    let mut k = scratch.matrix(n, d);
-    let mut v = scratch.matrix(n, d);
-    let mut scores = scratch.matrix(n, n);
-    let mut vh = scratch.matrix(n, hd);
-    let mut head_out = scratch.matrix(n, hd);
-    let mut cat = scratch.matrix(n, d);
-    let mut proj = scratch.matrix(n, d);
-    let mut hidden = scratch.matrix(n, cfg.d_ff);
-    let mut ffn = scratch.matrix(n, d);
-    let scale = 1.0 / (hd as f32).sqrt();
-    for layer in raw.layers {
-        let idsl = layer.ids();
-        // Attention sub-block (pre-norm).
-        layer_norm_into(
-            &x,
-            store.get(idsl.ln1_gain),
-            store.get(idsl.ln1_bias),
-            &mut ln,
-        );
-        ln.matmul_into(store.get(idsl.wq), &mut q);
-        ln.matmul_into(store.get(idsl.wk), &mut k);
-        ln.matmul_into(store.get(idsl.wv), &mut v);
-        for h in 0..heads {
-            attention_head(
-                &q,
-                &k,
-                &v,
-                mask,
-                h * hd,
-                hd,
-                scale,
-                &mut scores,
-                &mut vh,
-                &mut head_out,
-                &mut cat,
-            );
-        }
-        cat.matmul_into(store.get(idsl.wo), &mut proj);
-        x.add_assign(&proj);
-        // Feed-forward sub-block (pre-norm).
-        layer_norm_into(
-            &x,
-            store.get(idsl.ln2_gain),
-            store.get(idsl.ln2_bias),
-            &mut ln,
-        );
-        ln.matmul_into(store.get(idsl.w1), &mut hidden);
-        hidden.bias_relu(store.get(idsl.b1));
-        hidden.matmul_into(store.get(idsl.w2), &mut ffn);
-        let b2 = store.get(idsl.b2);
-        for i in 0..n {
-            for ((o, &hv), &bv) in x.row_mut(i).iter_mut().zip(ffn.row(i)).zip(b2.row(0)) {
-                // Same association as the tape: x + (ffn + b2).
-                *o += hv + bv;
-            }
-        }
-    }
-
-    // ---- final layer norm + pooling ----
-    let mut seq = scratch.matrix(n, d);
-    layer_norm_into(
-        &x,
-        store.get(raw.final_gain),
-        store.get(raw.final_bias),
-        &mut seq,
-    );
-    let mut pooled = scratch.matrix(1, d);
-    seq.mean_rows_block_into(0, n, pooled.row_mut(0));
-    for m in [x, ln, q, k, v, scores, vh, head_out, cat, proj, hidden, ffn] {
-        scratch.recycle(m);
-    }
-    (seq, pooled)
+    forward_kernel(t, store, std::slice::from_ref(&tokens), mask, scratch)
 }
 
 /// Fused batch forward pass over a group of sequences sharing one effective
@@ -390,11 +250,27 @@ pub fn forward_packed(
     seqs: &[&[u32]],
     scratch: &mut Scratch,
 ) -> (Matrix, Matrix) {
+    forward_kernel(t, store, seqs, None, scratch)
+}
+
+/// The one encoder inference kernel behind [`forward`] and
+/// [`forward_packed`]: packs `seqs` row-wise and applies the optional
+/// `n × n` additive `mask` inside every sample's attention block.
+fn forward_kernel(
+    t: &Transformer,
+    store: &ParamStore,
+    seqs: &[&[u32]],
+    mask: Option<&Matrix>,
+    scratch: &mut Scratch,
+) -> (Matrix, Matrix) {
     let raw = t.raw();
     let cfg = raw.config;
     let b = seqs.len();
     assert!(b > 0, "forward_packed needs at least one sequence");
     let n = cfg.effective_len(seqs[0].len());
+    if let Some(m) = mask {
+        assert_eq!(m.shape(), (n, n), "mask shape");
+    }
     let mut ids = Vec::with_capacity(b * n);
     for s in seqs {
         assert_eq!(
@@ -455,12 +331,12 @@ pub fn forward_packed(
         ln.matmul_into(store.get(idsl.wv), &mut v);
         for s in 0..b {
             for h in 0..heads {
-                attention_head_packed(
+                attention_head(
                     &q,
                     &k,
                     &v,
+                    mask,
                     s * n,
-                    n,
                     h * hd,
                     hd,
                     scale,
@@ -508,20 +384,6 @@ pub fn forward_packed(
         scratch.recycle(m);
     }
     (seq, pooled)
-}
-
-/// Encodes many token sequences in parallel with scoped threads (one
-/// [`Scratch`] per worker). Results keep input order; `threads` is clamped
-/// to the batch size.
-pub fn encode_batch(
-    t: &Transformer,
-    store: &ParamStore,
-    seqs: &[Vec<u32>],
-    threads: usize,
-) -> Vec<(Matrix, Matrix)> {
-    crate::train::par_map_init(seqs, threads, Scratch::new, |scratch, s| {
-        forward(t, store, s, None, scratch)
-    })
 }
 
 /// The pre-optimization forward pass, kept verbatim as a test oracle and
@@ -1042,28 +904,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_batch_matches_serial_forward_any_thread_count() {
-        let (t, store) = setup();
-        let seqs: Vec<Vec<u32>> = (0..7)
-            .map(|i| (0..5).map(|j| (i * 5 + j) as u32 % 40).collect())
-            .collect();
-        let mut scratch = Scratch::new();
-        let serial: Vec<_> = seqs
-            .iter()
-            .map(|s| forward(&t, &store, s, None, &mut scratch))
-            .collect();
-        for threads in [1, 2, 4, 9] {
-            let batch = encode_batch(&t, &store, &seqs, threads);
-            assert_eq!(batch.len(), serial.len());
-            for ((bs, bp), (ss, sp)) in batch.iter().zip(&serial) {
-                assert_eq!(bs.data(), ss.data(), "threads={threads}");
-                assert_eq!(bp.data(), sp.data(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn forward_packed_is_bit_identical_to_forward_any_group_size() {
+    fn forward_packed_is_bit_identical_to_naive_any_group_size() {
         let (t, store) = setup();
         let d = t.config().d_model;
         for group in [1usize, 2, 3, 5, 8] {
@@ -1076,7 +917,7 @@ mod tests {
             assert_eq!(seq.shape(), (group * 6, d));
             assert_eq!(pooled.shape(), (group, d));
             for (s, tokens) in seqs.iter().enumerate() {
-                let (es, ep) = forward(&t, &store, tokens, None, &mut scratch);
+                let (es, ep) = encode_naive(&t, &store, tokens, None);
                 for i in 0..6 {
                     assert_eq!(
                         seq.row(s * 6 + i),
@@ -1085,10 +926,28 @@ mod tests {
                     );
                 }
                 assert_eq!(pooled.row(s), ep.row(0), "group={group} sample={s}");
-                scratch.recycle(es);
-                scratch.recycle(ep);
             }
         }
+    }
+
+    #[test]
+    fn forward_pack_of_one_with_mask_is_bit_identical_to_naive() {
+        let (t, store) = setup();
+        // Longer than max_len (32), so the mask covers the truncated block;
+        // rows 0 and 5 are fully masked (uniform softmax).
+        let tokens: Vec<u32> = (0..40).map(|i| (i * 11) % 60).collect();
+        let mask = Matrix::from_fn(32, 32, |r, c| {
+            if r == 0 || r == 5 || (r + 2 * c) % 5 == 0 {
+                -1e9
+            } else {
+                0.0
+            }
+        });
+        let mut scratch = Scratch::new();
+        let (fs, fp) = forward(&t, &store, &tokens, Some(&mask), &mut scratch);
+        let (ns, np) = encode_naive(&t, &store, &tokens, Some(&mask));
+        assert_eq!(fs.data(), ns.data(), "masked seq drifted");
+        assert_eq!(fp.data(), np.data(), "masked pooled drifted");
     }
 
     #[test]
@@ -1103,7 +962,7 @@ mod tests {
         let (seq, pooled) = forward_packed(&t, &store, &refs, &mut scratch);
         assert_eq!(seq.rows(), 2 * 32);
         for (s, tokens) in [&long, &longer].iter().enumerate() {
-            let (_, ep) = forward(&t, &store, tokens, None, &mut scratch);
+            let (_, ep) = encode_naive(&t, &store, tokens, None);
             assert_eq!(pooled.row(s), ep.row(0), "sample {s}");
         }
     }
@@ -1116,7 +975,7 @@ mod tests {
         let (seq, pooled) = forward_packed(&t, &store, &refs, &mut scratch);
         assert_eq!(seq.rows(), 0);
         assert_eq!(pooled.shape(), (2, t.config().d_model));
-        let (_, ep) = forward(&t, &store, &[], None, &mut scratch);
+        let (_, ep) = encode_naive(&t, &store, &[], None);
         for s in 0..2 {
             assert_eq!(pooled.row(s), ep.row(0), "empty sample {s}");
         }

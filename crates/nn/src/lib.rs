@@ -13,11 +13,12 @@
 //!   against finite differences in the test suite),
 //! * [`Transformer`] — a pre-norm encoder with *pluggable additive attention
 //!   masks* (the hook for LLMulator's dynamic control-flow separation),
-//! * [`infer::forward`] / [`infer::encode_batch`] — the production forward
-//!   pass (tape-free, scratch-backed) and its scoped-thread batch fan-out,
-//! * [`infer::forward_packed`] — batch-level kernel fusion: same-length
-//!   sequences packed into one blocked GEMM per layer per group,
-//!   bit-identical per sample to [`infer::forward`],
+//! * [`infer::forward_packed`] / [`infer::forward`] — the production
+//!   forward pass (tape-free, scratch-backed), one kernel: same-length
+//!   sequences packed into one blocked GEMM per layer per group, and
+//!   [`infer::forward`] a pack of one with an optional attention mask,
+//!   bit-identical per sample to the tape and the [`infer::encode_naive`]
+//!   oracle,
 //! * [`infer::encode_cached`] — forward-only inference with block-structured
 //!   attention caching (LLMulator's dynamic prediction acceleration),
 //! * [`AdamW`] — decoupled-weight-decay optimizer,
@@ -50,8 +51,8 @@ pub mod transformer;
 pub use adam::{AdamConfig, AdamW};
 pub use graph::{Graph, NodeId, ParamId, ParamStore};
 pub use infer::{
-    encode_batch, encode_cached, encode_cached_with, encode_naive, forward, forward_packed,
-    EncoderCache, InferStats,
+    encode_cached, encode_cached_with, encode_naive, forward, forward_packed, EncoderCache,
+    InferStats,
 };
 pub use matrix::{softmax_slice, Matrix};
 pub use scratch::Scratch;

@@ -216,6 +216,40 @@ proptest! {
         }
     }
 
+    /// The one encoder inference kernel against the independent row-loop
+    /// oracle: for packs of 1–8 sequences sharing an effective length
+    /// (raw lengths 0 to `max_len + 8`, so longer ones truncate together)
+    /// with ids past the vocabulary, every packed row and every pooled row
+    /// equals `encode_naive` on that sequence alone, bit for bit.
+    #[test]
+    fn forward_packed_rows_are_bit_identical_to_the_naive_oracle(
+        group in 1usize..9, seed in 0u64..1000,
+    ) {
+        use llmulator_nn::{encode_naive, forward_packed, ParamStore, Scratch, Transformer, TransformerConfig};
+        let cfg = TransformerConfig { n_layers: 2, ..TransformerConfig::tiny(64) };
+        let mut store = ParamStore::new();
+        let t = Transformer::new(cfg, &mut store, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
+        let len = rng.gen_range(0..cfg.max_len + 9);
+        let seqs: Vec<Vec<u32>> = (0..group)
+            .map(|_| {
+                let len = if len < cfg.max_len { len } else { rng.gen_range(cfg.max_len..cfg.max_len + 9) };
+                (0..len)
+                    .map(|_| if rng.gen_bool(0.1) { u32::MAX } else { rng.gen_range(0u32..128) })
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[u32]> = seqs.iter().map(Vec::as_slice).collect();
+        let (seq, pooled) = forward_packed(&t, &store, &refs, &mut Scratch::new());
+        let n = cfg.effective_len(len);
+        prop_assert_eq!(seq.shape(), (group * n, cfg.d_model));
+        for (s, tokens) in seqs.iter().enumerate() {
+            let (ns, np) = encode_naive(&t, &store, tokens, None);
+            prop_assert_eq!(&seq.data()[s * n * cfg.d_model..(s + 1) * n * cfg.d_model], ns.data());
+            prop_assert_eq!(pooled.row(s), np.row(0), "sample {}", s);
+        }
+    }
+
     /// Simulator cycle counts are monotone in the *static* trip count too
     /// (the existing property covers input-driven dynamic bounds).
     #[test]
