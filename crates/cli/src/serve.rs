@@ -22,9 +22,13 @@
 //!
 //! ```json
 //! {"id": 1, "program": "void f(...) {...}", "inputs": {"n": 64},
-//!  "metrics": ["cycles", "power"], "beam_width": 4, "threads": 2,
+//!  "metrics": ["cycles", "power"], "threads": 2,
 //!  "feedback": {"metric": "cycles", "actual": 120.0, "predicted": 90.0}}
 //! ```
+//!
+//! `beam_width` is accepted and validated (an integer in 0–256) but
+//! ignored: digits decode greedily, which is what the top beam of any width
+//! decoded, so the field never changed a reply.
 //!
 //! Success response:
 //!
@@ -747,6 +751,10 @@ fn parse_request(line: &str) -> (Value, Result<PredictRequest, Error>) {
     }
 }
 
+/// Largest `beam_width` a request may carry. The field no longer affects
+/// decoding; the cap keeps the wire contract clients were written against.
+const MAX_BEAM_WIDTH: usize = 256;
+
 fn build_request(pairs: &[(String, Value)]) -> Result<(PredictRequest, Option<Duration>), Error> {
     const KNOWN: &[&str] = &[
         "id",
@@ -813,8 +821,14 @@ fn build_request(pairs: &[(String, Value)]) -> Result<(PredictRequest, Option<Du
             .collect::<Result<Vec<Metric>, Error>>()?;
         request = request.metrics(metrics);
     }
+    // Validated for wire compatibility, then ignored (decoding is greedy).
     if let Some(v) = get(pairs, "beam_width") {
-        request = request.beam_width(parse_usize(v, "beam_width")?);
+        let width = parse_usize(v, "beam_width")?;
+        if width > MAX_BEAM_WIDTH {
+            return Err(Error::InvalidRequest(format!(
+                "beam_width {width} exceeds the maximum of {MAX_BEAM_WIDTH}"
+            )));
+        }
     }
     if let Some(v) = get(pairs, "threads") {
         request = request.threads(parse_usize(v, "threads")?);
@@ -999,7 +1013,6 @@ mod tests {
             other => panic!("expected source input, got {other:?}"),
         }
         assert_eq!(request.metrics, Some(vec![Metric::Cycles]));
-        assert_eq!(request.beam_width, Some(2));
         assert_eq!(request.threads, Some(1));
         assert_eq!(request.model.as_deref(), Some("default"));
         let fb = request.feedback.expect("feedback");
@@ -1289,6 +1302,37 @@ mod tests {
         assert!(err.contains('n'), "{err}");
         let (_, r) = parse_request(r#"{"tokens": [1], "beam_width": 1e300}"#);
         assert!(r.is_err(), "beam_width saturation rejected");
+    }
+
+    /// `beam_width` keeps its wire validation but changes no reply:
+    /// accepted widths answer with the exact bytes of a request without one.
+    #[test]
+    fn beam_width_is_validated_and_ignored() {
+        let engine = EngineConfig::new().threads(2).build();
+        let predictor = NumericPredictor::new(llmulator::PredictorConfig {
+            scale: llmulator::ModelScale::Small,
+            codec: llmulator::DigitCodec::decimal(4),
+            max_len: 48,
+            seed: 3,
+            ..llmulator::PredictorConfig::default()
+        });
+        engine.register_predictor("default", predictor);
+        let mut session = engine.session();
+        let mut reply = |line: String| {
+            let (id, request) = parse_request(&line);
+            let response = session.predict(&request?)?;
+            Ok::<_, Error>(success_response(&id, &response).to_string())
+        };
+        let line = |width: &str| format!(r#"{{"id": 1, "tokens": [5, 6, 7]{width}}}"#);
+        let plain = reply(line("")).expect("serves");
+        for width in ["8", "0", "1", "256"] {
+            let got = reply(line(&format!(r#", "beam_width": {width}"#)));
+            assert_eq!(got.expect("serves"), plain, "beam_width {width}");
+        }
+        for width in ["257", "1e9", "1e300", "-1", "2.5", "\"4\""] {
+            let err = reply(line(&format!(r#", "beam_width": {width}"#))).expect_err("rejected");
+            assert!(matches!(err, Error::InvalidRequest(_)), "{width}: {err:?}");
+        }
     }
 
     #[test]

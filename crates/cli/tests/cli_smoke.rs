@@ -268,6 +268,8 @@ fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
     // one pre-tokenized request with a metric subset, one malformed line,
     // one unknown-model request, a line with an invalid UTF-8 byte, a line
     // of 200 000 `[`, and a last request that must still be answered.
+    // Between the last two, programs nested 100 000 levels deep (`(`, then
+    // unary `-`), each followed by a line that must still be answered.
     let program_line = format!(
         "{{\"id\": \"prog-1\", \"program\": {}, \"inputs\": {{\"n\": 3}}}}",
         serde_json::Value::Str(tiny_program_text())
@@ -281,7 +283,18 @@ fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
     .into_bytes();
     requests.extend_from_slice(b"{\"id\":5,\"tokens\":[4,\xff5]}\n");
     requests.extend_from_slice(&[b'['; 200_000]);
-    requests.extend_from_slice(b"\n{\"id\": 7, \"tokens\": [1, 2]}\n");
+    requests.push(b'\n');
+    for (id, prefix) in [("parens", "("), ("minus", "-")] {
+        let expr = prefix.repeat(100_000);
+        requests.extend_from_slice(
+            format!(
+                "{{\"id\": \"{id}\", \"program\": \"void f(float a[4]) {{ a[0] = {expr}1; }}\"}}\n\
+                 {{\"id\": \"after-{id}\", \"tokens\": [3]}}\n"
+            )
+            .as_bytes(),
+        );
+    }
+    requests.extend_from_slice(b"{\"id\": 7, \"tokens\": [1, 2]}\n");
 
     let mut child = std::process::Command::new(bin())
         .args([
@@ -311,7 +324,7 @@ fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
 
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 7, "one response per request line:\n{stdout}");
+    assert_eq!(lines.len(), 11, "one response per request line:\n{stdout}");
 
     // Responses are id-correlated, in request order.
     assert!(lines[0].contains("\"id\":\"prog-1\""), "{}", lines[0]);
@@ -347,8 +360,20 @@ fn serve_answers_mixed_jsonl_with_id_correlation_and_clean_eof_exit() {
         assert!(line.contains("\"kind\":\"invalid_request\""), "{line}");
         assert!(line.contains(cause), "{line}");
     }
-    assert!(lines[6].contains("\"id\":7"), "{}", lines[6]);
-    assert!(lines[6].contains("\"ok\":true"), "{}", lines[6]);
+    // Each over-deep program costs its line one `ir` error (not a stack
+    // overflow), and the line after it is still answered.
+    for (deep, after, id) in [
+        (lines[6], lines[7], "parens"),
+        (lines[8], lines[9], "minus"),
+    ] {
+        assert!(deep.contains(&format!("\"id\":\"{id}\"")), "{deep}");
+        assert!(deep.contains("\"kind\":\"ir\""), "{deep}");
+        assert!(deep.contains("nesting deeper than 128"), "{deep}");
+        assert!(after.contains(&format!("\"id\":\"after-{id}\"")), "{after}");
+        assert!(after.contains("\"ok\":true"), "{after}");
+    }
+    assert!(lines[10].contains("\"id\":7"), "{}", lines[10]);
+    assert!(lines[10].contains("\"ok\":true"), "{}", lines[10]);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

@@ -577,8 +577,9 @@ fn stdin_mode_tolerates_stdout_hangup_with_a_clean_exit() {
 
 /// An oversized request line is answered with a structured error and
 /// skipped, and so is a line of 200 000 `[` (deep enough to overflow a
-/// recursive JSON parser's stack); the connection (and the daemon) keep
-/// working.
+/// recursive JSON parser's stack) and a program nested 100 000 levels deep
+/// (`(`, then unary `-`; deep enough to overflow the IR parser's); the
+/// connection (and the daemon) keep working.
 #[test]
 fn oversized_lines_get_a_structured_error_and_the_connection_survives() {
     let daemon = Daemon::spawn(&[]);
@@ -607,6 +608,29 @@ fn oversized_lines_get_a_structured_error_and_the_connection_survives() {
         "{}",
         responses[2]
     );
+    for (k, prefix) in ["(", "-"].into_iter().enumerate() {
+        let expr = prefix.repeat(100_000);
+        let deep = format!(
+            "{{\"id\": \"deep{k}\", \"program\": \"void f(float a[4]) {{ a[0] = {expr}1; }}\"}}\n"
+        );
+        conn.write_all(deep.as_bytes()).expect("deep program sent");
+        conn.write_all((request_line(7, k + 1) + "\n").as_bytes())
+            .expect("probe sent");
+        let responses = read_lines(&mut reader, 2);
+        assert!(
+            responses[0].contains(&format!("\"id\":\"deep{k}\""))
+                && responses[0].contains("\"kind\":\"ir\"")
+                && responses[0].contains("nesting deeper than 128"),
+            "{}",
+            responses[0]
+        );
+        assert!(
+            responses[1].contains(&format!("\"id\":\"c7-r{}\"", k + 1))
+                && responses[1].contains("\"ok\":true"),
+            "{}",
+            responses[1]
+        );
+    }
     daemon.shutdown_and_wait();
 }
 

@@ -10,15 +10,17 @@
 //!   object-safe [`ServableModel`] trait) plus serving defaults
 //!   ([`EngineConfig`], builder-style);
 //! * a [`Session`] holds the per-client mutable state — a [`Scratch`]
-//!   arena and [`BeamScratch`] reused across requests so steady-state
-//!   serving allocates nothing per call;
+//!   arena reused across requests so a steady-state encoder pass allocates
+//!   nothing per call;
 //! * typed [`PredictRequest`] / [`PredictResponse`] messages carry program
-//!   source or pre-tokenized input, a metric subset, beam-width and
-//!   thread-count overrides, and optional profiler feedback.
+//!   source or pre-tokenized input, a metric subset, a thread-count
+//!   override, and optional profiler feedback. Digits decode greedily
+//!   ([`crate::numeric::DigitDistribution::greedy`]), so no request picks
+//!   a decode width.
 //!
 //! Every request takes one path: [`Session::predict_micro_batch`] resolves,
 //! validates and records feedback for each request, then packs the inputs
-//! of all requests sharing a predictor version and beam width into one
+//! of all requests sharing a predictor version into one
 //! fused [`NumericPredictor::predict_tokens_batch_threads`] call (a group
 //! of exactly one sequence runs through the session's scratch arena
 //! instead, bit-identical to the fused path). [`Session::predict`] is that
@@ -30,7 +32,7 @@ use crate::dataset::{CostModel, Sample};
 use crate::encode::SegmentedText;
 use crate::error::Error;
 use crate::model::{NumericPredictor, Prediction};
-use crate::numeric::{metric_to_int, BeamScratch};
+use crate::numeric::metric_to_int;
 use crate::online::{
     abs_rel_error, AbRouter, CalibrationCounters, CalibrationStats, FeedbackQueue, Scoreboard,
 };
@@ -427,7 +429,6 @@ impl Engine {
         Session {
             engine: self,
             scratch: Scratch::new(),
-            beam: BeamScratch::new(),
             served: 0,
         }
     }
@@ -475,8 +476,6 @@ pub struct PredictRequest {
     pub inputs: Vec<PredictInput>,
     /// Metric subset (response order follows this); `None` means all four.
     pub metrics: Option<Vec<Metric>>,
-    /// Beam-width override for digit decoding.
-    pub beam_width: Option<usize>,
     /// Worker-thread override for this request, capped at
     /// [`EngineConfig::threads`].
     pub threads: Option<usize>,
@@ -531,13 +530,6 @@ impl PredictRequest {
     #[must_use]
     pub fn metrics(mut self, metrics: Vec<Metric>) -> PredictRequest {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Overrides the decode beam width.
-    #[must_use]
-    pub fn beam_width(mut self, width: usize) -> PredictRequest {
-        self.beam_width = Some(width);
         self
     }
 
@@ -628,7 +620,6 @@ pub struct PredictResponse {
 pub struct Session<'e> {
     engine: &'e Engine,
     scratch: Scratch,
-    beam: BeamScratch,
     served: usize,
 }
 
@@ -671,7 +662,7 @@ impl<'e> Session<'e> {
     /// fails gets its own `Err` slot without poisoning the batch, and its
     /// feedback is recorded only once it validates. Baseline requests are
     /// answered directly. All inputs of the remaining requests that share a
-    /// predictor version and beam width are packed into **one**
+    /// predictor version are packed into **one**
     /// [`NumericPredictor::predict_tokens_batch_threads`] call (one fused
     /// GEMM per layer per length group) and split back per request; a
     /// group of exactly one sequence runs through the session's scratch
@@ -717,14 +708,14 @@ impl<'e> Session<'e> {
             }
         }
 
-        // Fuse plans sharing (predictor version, beam): one packed batch
-        // per group, then split the predictions back in request order.
+        // Fuse plans sharing a predictor version: one packed batch per
+        // group, then split the predictions back in request order.
         let mut remaining = plans;
         while let Some(first) = remaining.first() {
-            let (predictor, beam) = (first.predictor, first.beam);
+            let predictor = first.predictor;
             let (mut group, rest): (Vec<Plan>, Vec<Plan>) = remaining
                 .into_iter()
-                .partition(|p| std::ptr::eq(p.predictor, predictor) && p.beam == beam);
+                .partition(|p| std::ptr::eq(p.predictor, predictor));
             remaining = rest;
             let threads = group.iter().map(|p| p.threads).max().unwrap_or(1);
             let seqs: Vec<Vec<u32>> = group
@@ -739,12 +730,12 @@ impl<'e> Session<'e> {
                     None,
                     &mut self.scratch,
                 );
-                let preds = predictor.decode_pooled_rows_scratch(&pooled, beam, &mut self.beam);
+                let preds = predictor.decode_pooled_rows(&pooled);
                 self.scratch.recycle(seq);
                 self.scratch.recycle(pooled);
                 preds
             } else {
-                predictor.predict_tokens_batch_threads_width(&seqs, threads, beam)
+                predictor.predict_tokens_batch_threads(&seqs, threads)
             };
             let mut preds = preds.iter();
             for plan in &group {
@@ -788,7 +779,6 @@ impl<'e> Session<'e> {
             return Ok(None);
         };
         let seqs = tokenize_inputs(predictor, &request.inputs)?;
-        let beam = resolve_beam_width(predictor, request.beam_width)?;
         // Record feedback last: a request rejected above must not leave its
         // triple in the calibration queue.
         if let Some(fb) = request.feedback {
@@ -800,7 +790,6 @@ impl<'e> Session<'e> {
             predictor,
             seqs,
             metrics,
-            beam,
             threads: request.threads.unwrap_or(ceiling).clamp(1, ceiling),
         }))
     }
@@ -845,31 +834,8 @@ struct Plan<'m> {
     /// One token sequence per request input.
     seqs: Vec<Vec<u32>>,
     metrics: Vec<Metric>,
-    beam: usize,
     /// Worker threads, already clamped to [`EngineConfig::threads`].
     threads: usize,
-}
-
-/// Hard ceiling on per-request beam widths. Beam memory grows as
-/// `width × base` hypotheses per digit position, so an unchecked
-/// wire-supplied width (e.g. `beam_width: 1e9` on one JSONL line) would
-/// allocate gigabytes mid-decode; widths beyond the full digit lattice
-/// carry no extra information anyway.
-pub const MAX_BEAM_WIDTH: usize = 256;
-
-/// Resolves a request's beam-width override against [`MAX_BEAM_WIDTH`]
-/// (`None` = the model's own width; 0 clamps to 1).
-fn resolve_beam_width(
-    predictor: &NumericPredictor,
-    requested: Option<usize>,
-) -> Result<usize, Error> {
-    let width = requested.unwrap_or(predictor.beam_width()).max(1);
-    if width > MAX_BEAM_WIDTH {
-        return Err(Error::InvalidRequest(format!(
-            "beam_width {width} exceeds the maximum of {MAX_BEAM_WIDTH}"
-        )));
-    }
-    Ok(width)
 }
 
 /// Validates and resolves a metric subset (`None` = all four).
@@ -1284,40 +1250,6 @@ mod tests {
     }
 
     #[test]
-    fn beam_width_override_keeps_the_decoded_value() {
-        let engine = engine_with_default();
-        let mut session = engine.session();
-        let base = session
-            .predict(&PredictRequest::tokens(vec![5, 6, 7]))
-            .expect("serves");
-        let wide = session
-            .predict(&PredictRequest::tokens(vec![5, 6, 7]).beam_width(8))
-            .expect("serves");
-        assert_eq!(
-            base.items[0].value(Metric::Cycles),
-            wide.items[0].value(Metric::Cycles),
-            "best hypothesis is width-invariant"
-        );
-        // Width 0 clamps instead of panicking.
-        session
-            .predict(&PredictRequest::tokens(vec![5]).beam_width(0))
-            .expect("clamped");
-        // A wire-scale width is rejected up front, not allocated.
-        let err = session
-            .predict(&PredictRequest::tokens(vec![5]).beam_width(1_000_000_000))
-            .expect_err("capped");
-        assert!(matches!(err, Error::InvalidRequest(_)), "{err:?}");
-        assert!(err.to_string().contains(&MAX_BEAM_WIDTH.to_string()));
-        // The micro-batch path enforces the same cap per request.
-        let results = session.predict_micro_batch(&[
-            PredictRequest::tokens(vec![5]),
-            PredictRequest::tokens(vec![5]).beam_width(usize::MAX),
-        ]);
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(Error::InvalidRequest(_))));
-    }
-
-    #[test]
     fn hot_swap_bumps_the_epoch_and_in_flight_resolutions_keep_their_version() {
         let engine = engine_with_default();
         let first = engine.resolve(None).expect("resolves");
@@ -1478,7 +1410,7 @@ mod tests {
             Err(Error::InvalidRequest(_))
         ));
         let request = PredictRequest::tokens(vec![2])
-            .beam_width(usize::MAX)
+            .metrics(vec![])
             .feedback(Feedback {
                 item: 0,
                 ..off_by_one

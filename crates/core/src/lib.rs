@@ -10,7 +10,8 @@
 //!
 //! * **Numeric modeling-based static prediction** ([`model`], [`numeric`]):
 //!   progressive digit tokenization on the input side and digit-wise
-//!   categorical heads (Eq. 1) with beam-search decoding and explicit
+//!   categorical heads (Eq. 1) with greedy digit decoding (beam search
+//!   ranks runner-up digit strings on demand) and explicit
 //!   confidence on the output side;
 //! * **Dynamic prediction-based calibration** ([`calibrate`]): a DPO loop
 //!   (Eq. 2) against profiler feedback with a sliding replay buffer, plus
@@ -66,7 +67,7 @@ pub use dataset::{CostModel, Dataset, Sample};
 pub use encode::{fusion_group_key, group_by_key, SegmentedText};
 pub use engine::{
     Engine, EngineConfig, Feedback, ItemPrediction, MetricValue, PredictInput, PredictRequest,
-    PredictResponse, Resolved, ServableModel, Session, MAX_BEAM_WIDTH,
+    PredictResponse, Resolved, ServableModel, Session,
 };
 pub use error::Error;
 pub use fault::{silence_injected_panics, FaultAction, FaultPlan, FAULT_MARKER};
@@ -74,9 +75,7 @@ pub use masks::{attended_fraction, separation_mask, MaskOptions};
 pub use model::{
     MetricPrediction, ModelScale, NumericPredictor, Prediction, PredictorConfig, TrainOptions,
 };
-pub use numeric::{
-    beam_search, beam_search_with, BeamHypothesis, BeamScratch, DigitCodec, DigitDistribution,
-};
+pub use numeric::{beam_search, BeamHypothesis, DigitCodec, DigitDistribution};
 pub use online::{
     abs_rel_error, route_key, AbRouter, CalibrationConfig, CalibrationMeta, CalibrationStats,
     Calibrator, CalibratorCore, FeedbackQueue, ModelScorecard, Scoreboard,

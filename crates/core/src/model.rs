@@ -3,10 +3,7 @@
 //! each of the four metrics, trained with categorical cross-entropy (Eq. 1).
 
 use crate::dataset::{CostModel, Dataset, Sample};
-use crate::numeric::{
-    beam_search, beam_search_with, int_to_metric, metric_to_int, BeamHypothesis, BeamScratch,
-    DigitCodec, DigitDistribution,
-};
+use crate::numeric::{int_to_metric, metric_to_int, DigitCodec, DigitDistribution};
 use llmulator_nn::{
     softmax_slice, AdamConfig, AdamW, Graph, Matrix, NodeId, ParamId, ParamStore, Scratch,
     Transformer, TransformerConfig,
@@ -135,10 +132,9 @@ pub struct MetricPrediction {
     pub confidence: f32,
     /// Geometric-mean confidence across positions.
     pub mean_confidence: f32,
-    /// Full per-position distributions.
+    /// Full per-position distributions (rank runner-up digit strings on
+    /// demand with [`crate::numeric::beam_search`]).
     pub distribution: DigitDistribution,
-    /// Top beam hypotheses (best first; `beams[0]` is the decoded answer).
-    pub beams: Vec<BeamHypothesis>,
 }
 
 /// Prediction across all four metrics.
@@ -184,7 +180,6 @@ pub struct NumericPredictor {
     store: ParamStore,
     encoder: Transformer,
     heads: Vec<MetricHead>,
-    beam_width: usize,
 }
 
 impl NumericPredictor {
@@ -215,7 +210,6 @@ impl NumericPredictor {
             store,
             encoder,
             heads,
-            beam_width: 4,
         }
     }
 
@@ -244,11 +238,10 @@ impl NumericPredictor {
         self.store.scalar_count()
     }
 
-    /// Default beam width for decoding (see
-    /// [`NumericPredictor::decode_pooled_rows_width`] for per-call
-    /// overrides).
+    /// Always 1: decoding is greedy ([`DigitDistribution::greedy`]). Kept
+    /// for callers written against the beam-decoding API.
     pub fn beam_width(&self) -> usize {
-        self.beam_width
+        1
     }
 
     /// Tokenizes a sample's text under this predictor's context limit.
@@ -350,43 +343,15 @@ impl NumericPredictor {
     /// math — shared by the tape and cached inference paths).
     ///
     /// This is the per-sample decode the pre-fusion batch path runs; it is
-    /// kept verbatim as the oracle for the batched
+    /// kept as the oracle for the batched
     /// [`NumericPredictor::decode_pooled_rows`].
     pub fn decode_pooled(&self, pooled: &Matrix) -> Prediction {
-        let base = self.config.codec.base as usize;
-        let width = self.config.codec.width;
         let per_metric = Metric::all()
             .iter()
             .zip(&self.heads)
             .map(|(&metric, h)| {
-                let w = self.store.get(h.w);
-                let b = self.store.get(h.b);
-                let mut logits = pooled.matmul(w);
-                for (v, &bv) in logits.row_mut(0).iter_mut().zip(b.row(0)) {
-                    *v += bv;
-                }
-                // Softmax each digit slice of the logits row in place — no
-                // per-position 1×base matrices.
-                let row = logits.row_mut(0);
-                let mut rows = Vec::with_capacity(width);
-                for j in 0..width {
-                    let slice = &mut row[j * base..(j + 1) * base];
-                    softmax_slice(slice);
-                    rows.push(slice.to_vec());
-                }
-                let dist = DigitDistribution::new(self.config.codec.base, rows);
-                let beams = beam_search(&dist, self.beam_width);
-                let digits = beams[0].digits.clone();
-                let value = int_to_metric(metric, self.config.codec.decode(&digits));
-                MetricPrediction {
-                    metric,
-                    value,
-                    confidence: dist.final_confidence(&digits),
-                    mean_confidence: dist.mean_confidence(&digits),
-                    digits,
-                    distribution: dist,
-                    beams,
-                }
+                let mut logits = pooled.matmul(self.store.get(h.w));
+                self.decode_metric(metric, logits.row_mut(0), self.store.get(h.b).row(0))
             })
             .collect();
         Prediction { per_metric }
@@ -396,87 +361,59 @@ impl NumericPredictor {
     /// (`B × d_model`, as produced by [`llmulator_nn::forward_packed`]) —
     /// the batched decode behind [`NumericPredictor::predict_batch_threads`].
     ///
-    /// Two batch-level fusions over [`NumericPredictor::decode_pooled`],
-    /// both result-preserving:
-    ///
-    /// * each metric head runs as a single `B × d_model × (width·base)`
-    ///   GEMM for the whole pack (the blocked kernel is bit-identical per
-    ///   row), and
-    /// * beam searches share one [`BeamScratch`], recycling the hypothesis
-    ///   buffers [`beam_search`] reallocates per position per sample
-    ///   (identical expansion and ranking, exactly equal hypotheses).
-    ///
-    /// Every row therefore decodes exactly as `decode_pooled` would on that
-    /// row alone.
+    /// Each metric head runs as a single `B × d_model × (width·base)` GEMM
+    /// for the whole pack (the blocked kernel is bit-identical per row), so
+    /// every row decodes exactly as `decode_pooled` would on that row alone.
     pub fn decode_pooled_rows(&self, pooled: &Matrix) -> Vec<Prediction> {
-        self.decode_pooled_rows_width(pooled, self.beam_width)
-    }
-
-    /// [`NumericPredictor::decode_pooled_rows`] with an explicit beam width
-    /// — the serving engine's hook for per-request beam overrides. With
-    /// `beam_width == self.beam_width()` the result is exactly what
-    /// `decode_pooled_rows` returns; other widths change only how many
-    /// hypotheses each [`MetricPrediction::beams`] carries (the best
-    /// hypothesis, and therefore the decoded value, is width-invariant for
-    /// the independent per-position heads).
-    pub fn decode_pooled_rows_width(&self, pooled: &Matrix, beam_width: usize) -> Vec<Prediction> {
-        self.decode_pooled_rows_scratch(pooled, beam_width, &mut BeamScratch::new())
-    }
-
-    /// [`NumericPredictor::decode_pooled_rows_width`] with caller-owned beam
-    /// scratch, so a long-lived serving session ([`crate::engine::Session`])
-    /// reuses its hypothesis buffers across requests instead of
-    /// reallocating them per call. Results are exactly equal regardless of
-    /// the scratch's prior contents.
-    pub fn decode_pooled_rows_scratch(
-        &self,
-        pooled: &Matrix,
-        beam_width: usize,
-        beam_scratch: &mut BeamScratch,
-    ) -> Vec<Prediction> {
-        let base = self.config.codec.base as usize;
-        let width = self.config.codec.width;
-        let n = pooled.rows();
-        let mut per_row: Vec<Vec<MetricPrediction>> = (0..n)
+        let mut per_row: Vec<Vec<MetricPrediction>> = (0..pooled.rows())
             .map(|_| Vec::with_capacity(self.heads.len()))
             .collect();
         for (&metric, h) in Metric::all().iter().zip(&self.heads) {
-            let w = self.store.get(h.w);
-            let b = self.store.get(h.b);
             // One fused head GEMM for all rows.
-            let mut logits = pooled.matmul(w);
+            let mut logits = pooled.matmul(self.store.get(h.w));
+            let bias = self.store.get(h.b).row(0);
             for (r, metrics) in per_row.iter_mut().enumerate() {
-                let row = logits.row_mut(r);
-                for (v, &bv) in row.iter_mut().zip(b.row(0)) {
-                    *v += bv;
-                }
-                // Softmax each digit slice of the logits row in place — no
-                // per-position 1×base matrices.
-                let mut rows = Vec::with_capacity(width);
-                for j in 0..width {
-                    let slice = &mut row[j * base..(j + 1) * base];
-                    softmax_slice(slice);
-                    rows.push(slice.to_vec());
-                }
-                let dist = DigitDistribution::new(self.config.codec.base, rows);
-                let beams = beam_search_with(&dist, beam_width, beam_scratch);
-                let digits = beams[0].digits.clone();
-                let value = int_to_metric(metric, self.config.codec.decode(&digits));
-                metrics.push(MetricPrediction {
-                    metric,
-                    value,
-                    confidence: dist.final_confidence(&digits),
-                    mean_confidence: dist.mean_confidence(&digits),
-                    digits,
-                    distribution: dist,
-                    beams,
-                });
+                metrics.push(self.decode_metric(metric, logits.row_mut(r), bias));
             }
         }
         per_row
             .into_iter()
             .map(|per_metric| Prediction { per_metric })
             .collect()
+    }
+
+    /// [`NumericPredictor::decode_pooled_rows`]; the width is ignored
+    /// because decoding is greedy. Kept for callers written against the
+    /// beam-decoding API.
+    pub fn decode_pooled_rows_width(&self, pooled: &Matrix, _width: usize) -> Vec<Prediction> {
+        self.decode_pooled_rows(pooled)
+    }
+
+    /// Decodes one metric from its head's logits row: adds the bias,
+    /// softmaxes each digit slice in place (no per-position `1×base`
+    /// matrices) and takes the greedy digits.
+    fn decode_metric(&self, metric: Metric, logits: &mut [f32], bias: &[f32]) -> MetricPrediction {
+        for (v, &bv) in logits.iter_mut().zip(bias) {
+            *v += bv;
+        }
+        let rows = logits
+            .chunks_exact_mut(self.config.codec.base as usize)
+            .take(self.config.codec.width)
+            .map(|slice| {
+                softmax_slice(slice);
+                slice.to_vec()
+            })
+            .collect();
+        let dist = DigitDistribution::new(self.config.codec.base, rows);
+        let digits = dist.greedy();
+        MetricPrediction {
+            metric,
+            value: int_to_metric(metric, self.config.codec.decode(&digits)),
+            confidence: dist.final_confidence(&digits),
+            mean_confidence: dist.mean_confidence(&digits),
+            digits,
+            distribution: dist,
+        }
     }
 
     /// Predicts from raw tokens (full forward pass, optional mask).
@@ -556,19 +493,6 @@ impl NumericPredictor {
         seqs: &[Vec<u32>],
         threads: usize,
     ) -> Vec<Prediction> {
-        self.predict_tokens_batch_threads_width(seqs, threads, self.beam_width)
-    }
-
-    /// [`NumericPredictor::predict_tokens_batch_threads`] with an explicit
-    /// decode beam width (see
-    /// [`NumericPredictor::decode_pooled_rows_width`]); with the model's own
-    /// [`NumericPredictor::beam_width`] the two are identical.
-    pub fn predict_tokens_batch_threads_width(
-        &self,
-        seqs: &[Vec<u32>],
-        threads: usize,
-        beam_width: usize,
-    ) -> Vec<Prediction> {
         if seqs.is_empty() {
             return Vec::new();
         }
@@ -601,7 +525,7 @@ impl NumericPredictor {
                 let group: Vec<&[u32]> = unit.iter().map(|&i| seqs[i].as_slice()).collect();
                 let (seq, pooled) =
                     llmulator_nn::forward_packed(&self.encoder, &self.store, &group, scratch);
-                let preds = self.decode_pooled_rows_width(&pooled, beam_width);
+                let preds = self.decode_pooled_rows(&pooled);
                 scratch.recycle(seq);
                 scratch.recycle(pooled);
                 preds
@@ -738,6 +662,7 @@ impl CostModel for NumericPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::numeric::beam_search;
     use llmulator_ir::builder::OperatorBuilder;
     use llmulator_ir::{Expr, LValue, Program, Stmt};
 
@@ -773,7 +698,7 @@ mod tests {
             assert!(mp.value >= 0.0);
             assert!((0.0..=1.0).contains(&mp.confidence));
             assert_eq!(mp.digits.len(), 4);
-            assert_eq!(mp.beams[0].digits, mp.digits);
+            assert_eq!(beam_search(&mp.distribution, 4)[0].digits, mp.digits);
         }
     }
 

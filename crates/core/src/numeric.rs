@@ -4,8 +4,10 @@
 //! classification tasks: a value is encoded MSB-first in base `D` with fixed
 //! width `L`, each position predicted as an independent `D`-way
 //! classification. Per-position probability distributions give explicit
-//! confidence, and beam search over the digit lattice recovers from
-//! high-order-digit errors.
+//! confidence. Because the heads are independent per position, the best
+//! digit string is found greedily ([`DigitDistribution::greedy`]);
+//! [`beam_search`] ranks the runner-up strings on demand, exposing where a
+//! high-order digit is uncertain.
 //!
 //! The base trade-off the paper analyzes — encoding length
 //! `L = ceil(log_D N)` versus per-digit complexity `D` — is captured by
@@ -116,20 +118,30 @@ impl DigitDistribution {
         &self.probs[j]
     }
 
-    /// Greedy (argmax) digits.
+    /// Greedy digits: the decode every prediction uses.
     ///
-    /// Uses [`f32::total_cmp`] so non-finite probabilities (NaN logits from
-    /// a degenerate forward pass) degrade to a deterministic argmax instead
-    /// of panicking mid-eval.
+    /// Walks the positions MSB first with a running `f32` log-probability
+    /// `s` (from `0.0`) and takes the lowest digit `d` maximising
+    /// `s + p_d.max(1e-9).ln()` under [`f32::total_cmp`]. This is exactly
+    /// `beam_search(self, k)[0].digits` for every `k`: each term is
+    /// NaN-free and never `-inf`, `f32` addition is monotone, and the beam's
+    /// stable sort keeps the top hypothesis' lowest maximising digit first.
+    /// A NaN probability counts as `1e-9`, so an all-NaN row decodes to
+    /// digit 0.
     pub fn greedy(&self) -> Vec<u8> {
+        let mut s = 0.0f32;
         self.probs
             .iter()
             .map(|row| {
-                row.iter()
+                let (d, v) = row
+                    .iter()
+                    .map(|p| s + p.max(1e-9).ln())
                     .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i as u8)
-                    .unwrap_or(0)
+                    // `min_by` on the reversed order keeps the first maximum.
+                    .min_by(|a, b| b.1.total_cmp(&a.1))
+                    .unwrap_or((0, s));
+                s = v;
+                d as u8
             })
             .collect()
     }
@@ -185,9 +197,11 @@ pub struct BeamHypothesis {
 /// Beam search over the digit lattice (paper's error-control mechanism):
 /// returns the top-`k` digit strings by joint probability, best first.
 ///
-/// With independent per-position heads the best hypothesis equals the greedy
-/// decode; lower-ranked hypotheses expose where a high-order digit is
-/// uncertain and allow rectification by downstream scoring.
+/// With independent per-position heads the best hypothesis equals
+/// [`DigitDistribution::greedy`], which is what predictions decode with;
+/// this search is the on-demand top-`k` view (and the greedy decode's test
+/// oracle), where lower-ranked hypotheses expose an uncertain high-order
+/// digit.
 pub fn beam_search(dist: &DigitDistribution, k: usize) -> Vec<BeamHypothesis> {
     let k = k.max(1);
     let mut beams = vec![BeamHypothesis {
@@ -215,82 +229,6 @@ pub fn beam_search(dist: &DigitDistribution, k: usize) -> Vec<BeamHypothesis> {
         beams = next;
     }
     beams
-}
-
-/// Reusable buffers for repeated beam searches: the batched decode path
-/// runs one search per metric per sample, and [`beam_search`]'s per-position
-/// hypothesis churn (hundreds of short-lived `Vec<u8>` allocations per
-/// search) dominates short-sequence decode. Holding the frontier buffers
-/// here keeps their allocations alive across searches.
-#[derive(Debug, Default)]
-pub struct BeamScratch {
-    beams: Vec<BeamHypothesis>,
-    next: Vec<BeamHypothesis>,
-}
-
-impl BeamScratch {
-    /// Empty scratch (buffers grow on first use and are then reused).
-    pub fn new() -> BeamScratch {
-        BeamScratch::default()
-    }
-}
-
-/// [`beam_search`] with caller-owned scratch buffers: identical expansion,
-/// ranking (stable sort by [`f32::total_cmp`]), and truncation order, so the
-/// returned hypotheses are exactly equal to [`beam_search`]'s — only the
-/// intermediate allocations are recycled across calls.
-pub fn beam_search_with(
-    dist: &DigitDistribution,
-    k: usize,
-    scratch: &mut BeamScratch,
-) -> Vec<BeamHypothesis> {
-    let k = k.max(1);
-    // Frontier starts as the single empty hypothesis.
-    scratch.beams.clear();
-    scratch.beams.push(BeamHypothesis {
-        digits: Vec::new(),
-        log_prob: 0.0,
-    });
-    for j in 0..dist.width() {
-        let row = dist.position(j);
-        // Expand into `next`, reusing its hypotheses' digit buffers.
-        let wanted = scratch.beams.len() * row.len();
-        scratch.next.truncate(wanted);
-        while scratch.next.len() < wanted {
-            scratch.next.push(BeamHypothesis {
-                digits: Vec::new(),
-                log_prob: 0.0,
-            });
-        }
-        let mut slot = scratch.next.iter_mut();
-        for beam in &scratch.beams {
-            for (d, &p) in row.iter().enumerate() {
-                let hyp = slot.next().expect("sized above");
-                hyp.digits.clear();
-                hyp.digits.extend_from_slice(&beam.digits);
-                hyp.digits.push(d as u8);
-                hyp.log_prob = beam.log_prob + p.max(1e-9).ln();
-            }
-        }
-        scratch
-            .next
-            .sort_by(|a, b| b.log_prob.total_cmp(&a.log_prob));
-        // Swap the top-k into the frontier element-wise: the frontier's old
-        // digit buffers land back in `next`'s slots, so no allocation is
-        // ever dropped.
-        let keep = k.min(scratch.next.len());
-        while scratch.beams.len() < keep {
-            scratch.beams.push(BeamHypothesis {
-                digits: Vec::new(),
-                log_prob: 0.0,
-            });
-        }
-        scratch.beams.truncate(keep);
-        for (beam, top) in scratch.beams.iter_mut().zip(scratch.next.iter_mut()) {
-            std::mem::swap(beam, top);
-        }
-    }
-    scratch.beams.clone()
 }
 
 /// Converts a metric's continuous ground truth into the integer domain the
@@ -425,28 +363,43 @@ mod tests {
     }
 
     #[test]
-    fn beam_search_with_scratch_is_exactly_equal() {
-        // The scratch-backed search must return hypotheses exactly equal to
-        // the allocating one (same digits, same log-prob bits), including
-        // when the scratch is reused across differently shaped searches.
-        let mut scratch = BeamScratch::new();
+    fn greedy_is_exactly_the_beam_top1_on_edge_rows() {
+        // Ties, uniform rows, an empty lattice and NaN/inf probabilities:
+        // the greedy decode must equal the top beam at every width.
+        let mut tie = vec![0.0f32; 10];
+        tie[2] = 0.5;
+        tie[7] = 0.5;
         let dists = [
             DigitDistribution::new(10, vec![one_hot(6, 0.8), one_hot(5, 0.9), one_hot(5, 0.7)]),
             DigitDistribution::new(10, vec![one_hot(0, 0.4); 5]),
             DigitDistribution::new(10, vec![vec![0.1; 10]; 2]),
+            DigitDistribution::new(10, vec![tie.clone(), tie]),
             DigitDistribution::new(10, Vec::new()),
             DigitDistribution::new(10, vec![vec![f32::NAN; 10], one_hot(3, 0.6)]),
+            DigitDistribution::new(10, vec![vec![f32::INFINITY; 10], one_hot(8, 0.6)]),
         ];
         for dist in &dists {
             for k in [1usize, 2, 4, 7] {
                 assert_eq!(
-                    beam_search_with(dist, k, &mut scratch),
-                    beam_search(dist, k),
+                    dist.greedy(),
+                    beam_search(dist, k)[0].digits,
                     "k={k} width={}",
                     dist.width()
                 );
             }
         }
+        assert_eq!(dists[5].greedy(), vec![0, 3], "NaN row decodes to 0");
+        assert_eq!(dists[3].greedy(), vec![2, 2], "ties take the lowest digit");
+        // Eight near-zero rows drive the running sum to about -166, where a
+        // 2e-7 log gap rounds away: digit 3's tiny edge is a tie the beam
+        // (and so the greedy decode) breaks towards digit 0.
+        let mut near_tie = vec![0.5f32; 10];
+        near_tie[3] = 0.5 + 1e-7;
+        let mut rows = vec![vec![1e-12f32; 10]; 8];
+        rows.push(near_tie);
+        let dist = DigitDistribution::new(10, rows);
+        assert_eq!(dist.greedy()[8], 0);
+        assert_eq!(dist.greedy(), beam_search(&dist, 4)[0].digits);
     }
 
     #[test]

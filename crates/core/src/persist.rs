@@ -13,9 +13,10 @@
 //! newer incompatible release is rejected with a clear
 //! [`PersistError::Version`] naming both versions instead of failing deep in
 //! deserialization on whichever field happened to change. Files written by
-//! any version back to [`MIN_FORMAT_VERSION`] still load: the model payload
-//! layout is unchanged since version 1, version 2 only *added* the optional
-//! calibration section.
+//! any version back to [`MIN_FORMAT_VERSION`] still load: version 2 only
+//! *added* the optional calibration section, and version 3 only *dropped*
+//! the payload's `beam_width` field, which older files still carry and the
+//! loader ignores as an unknown key.
 
 use crate::model::NumericPredictor;
 use crate::online::CalibrationMeta;
@@ -28,8 +29,9 @@ use std::path::Path;
 /// the change is incompatible with older payloads.
 ///
 /// History: 1 = initial envelope; 2 = optional `calibration` provenance
-/// section next to the (unchanged) model payload.
-pub const FORMAT_VERSION: u64 = 2;
+/// section next to the (unchanged) model payload; 3 = the payload's
+/// `beam_width` field is gone (decoding is greedy).
+pub const FORMAT_VERSION: u64 = 3;
 
 /// The oldest model file format version this build still reads.
 pub const MIN_FORMAT_VERSION: u64 = 1;
@@ -383,6 +385,31 @@ mod tests {
         assert_eq!(restored.param_count(), model.param_count());
         let (_, meta) = NumericPredictor::from_json_calibrated(&doctored).expect("loads");
         assert!(meta.is_none(), "v1 files carry no calibration section");
+    }
+
+    /// A version-2 file still carries the payload's `beam_width` field; it
+    /// loads and predicts bit-identically to the same weights saved now.
+    #[test]
+    fn v2_file_with_beam_width_predicts_like_the_current_format() {
+        let model = tiny();
+        let v3 = model.to_json().expect("encodes");
+        assert!(
+            !v3.contains("beam_width"),
+            "the current layout has no width"
+        );
+        let v2 = v3
+            .replacen("\"format_version\":3", "\"format_version\":2", 1)
+            .replacen("\"heads\":", "\"beam_width\":4,\"heads\":", 1);
+        assert!(v2.contains("\"format_version\":2") && v2.contains("\"beam_width\":4"));
+        let old = NumericPredictor::from_json(&v2).expect("v2 file loads");
+        let new = NumericPredictor::from_json(&v3).expect("v3 file loads");
+        for tokens in [vec![4u32, 5, 6, 7, 8], vec![1], Vec::new()] {
+            assert_eq!(
+                old.predict_tokens(&tokens, None),
+                new.predict_tokens(&tokens, None)
+            );
+        }
+        assert_eq!(old.to_json().expect("encodes"), v3, "re-saves as v3");
     }
 
     #[test]

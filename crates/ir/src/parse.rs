@@ -4,6 +4,10 @@
 //! The parser accepts the full rendered program (operators, graph function,
 //! hardware parameter lines) and reconstructs a [`Program`], enabling
 //! round-trip property tests and letting examples load textual workloads.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] levels, so hostile input (say, a
+//! serving request of 100 000 `(`) is a parse error rather than a stack
+//! overflow.
 
 use crate::error::IrError;
 use crate::expr::{BinOp, Expr, Intrinsic, UnOp};
@@ -141,9 +145,16 @@ enum Tok {
     Eof,
 }
 
+/// Deepest nesting the parser accepts (the same cap `serde_json` puts on
+/// JSON arrays and objects). Each parenthesised group, unary operand,
+/// intrinsic argument list, index and `for`/`if` body is one level.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser {
     toks: Vec<(usize, Tok)>,
     pos: usize,
+    /// Nesting levels currently open (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -151,7 +162,22 @@ impl Parser {
         Ok(Parser {
             toks: lex(text)?,
             pos: 0,
+            depth: 0,
         })
+    }
+
+    /// Runs `f` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, IrError>,
+    ) -> Result<T, IrError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
     }
 
     fn peek(&self) -> &Tok {
@@ -382,7 +408,7 @@ impl Parser {
         let step = self.expr()?;
         self.expect_punct(")")?;
         self.expect_punct("{")?;
-        let body = self.block()?;
+        let body = self.nested(Parser::block)?;
         Ok(Stmt::For(ForLoop {
             var: var.into(),
             lo,
@@ -399,11 +425,11 @@ impl Parser {
         let cond = self.expr()?;
         self.expect_punct(")")?;
         self.expect_punct("{")?;
-        let then_body = self.block()?;
+        let then_body = self.nested(Parser::block)?;
         let else_body = if self.peek_is_keyword("else") {
             self.pos += 1;
             self.expect_punct("{")?;
-            self.block()?
+            self.nested(Parser::block)?
         } else {
             Vec::new()
         };
@@ -452,13 +478,13 @@ impl Parser {
         match self.bump() {
             Tok::Int(v) => Ok(Expr::IntConst(v)),
             Tok::Float(v) => Ok(Expr::FloatConst(v)),
-            Tok::Punct("(") => {
-                let e = self.expr()?;
-                self.expect_punct(")")?;
+            Tok::Punct("(") => self.nested(|p| {
+                let e = p.expr()?;
+                p.expect_punct(")")?;
                 Ok(e)
-            }
+            }),
             Tok::Punct("-") => {
-                let operand = self.primary()?;
+                let operand = self.nested(Parser::primary)?;
                 Ok(match operand {
                     Expr::IntConst(v) => Expr::IntConst(-v),
                     Expr::FloatConst(v) => Expr::FloatConst(-v),
@@ -469,7 +495,7 @@ impl Parser {
                 })
             }
             Tok::Punct("!") => {
-                let operand = self.primary()?;
+                let operand = self.nested(Parser::primary)?;
                 Ok(Expr::Unary {
                     op: UnOp::Not,
                     operand: Box::new(operand),
@@ -479,16 +505,19 @@ impl Parser {
                 if self.eat_punct("(") {
                     let func = Intrinsic::from_name(&name)
                         .ok_or_else(|| self.err(format!("unknown intrinsic `{name}`")))?;
-                    let mut args = Vec::new();
-                    if !self.eat_punct(")") {
-                        loop {
-                            args.push(self.expr()?);
-                            if self.eat_punct(")") {
-                                break;
+                    let args = self.nested(|p| {
+                        let mut args = Vec::new();
+                        if !p.eat_punct(")") {
+                            loop {
+                                args.push(p.expr()?);
+                                if p.eat_punct(")") {
+                                    break;
+                                }
+                                p.expect_punct(",")?;
                             }
-                            self.expect_punct(",")?;
                         }
-                    }
+                        Ok(args)
+                    })?;
                     if args.len() != func.arity() {
                         return Err(self.err(format!(
                             "intrinsic `{name}` expects {} args, found {}",
@@ -500,7 +529,7 @@ impl Parser {
                 }
                 let mut indices = Vec::new();
                 while self.eat_punct("[") {
-                    indices.push(self.expr()?);
+                    indices.push(self.nested(Parser::expr)?);
                     self.expect_punct("]")?;
                 }
                 if indices.is_empty() {
@@ -781,6 +810,46 @@ mod tests {
     fn rejects_unknown_intrinsic() {
         let src = "void f(float a[4]) {\n  a[0] = mystery(1);\n}\n";
         assert!(parse_operator(src).is_err());
+    }
+
+    /// Each nesting form parses at exactly [`MAX_DEPTH`] levels and is a
+    /// parse error one level deeper.
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        for form in ["parens", "negation", "not", "indices", "blocks"] {
+            parse_operator(&nested(form, MAX_DEPTH)).unwrap_or_else(|e| panic!("{form}: {e}"));
+            match parse_operator(&nested(form, MAX_DEPTH + 1)) {
+                Err(IrError::Parse { message, .. }) => {
+                    assert!(message.contains("nesting"), "{form}: {message}")
+                }
+                other => panic!("{form}: expected a depth error, got {other:?}"),
+            }
+        }
+        // Far past the cap it is still an error, not a stack overflow.
+        assert!(matches!(
+            parse_operator(&nested("parens", 100_000)),
+            Err(IrError::Parse { .. })
+        ));
+    }
+
+    /// An operator whose body nests one `form` `n` levels deep.
+    fn nested(form: &str, n: usize) -> String {
+        let body = if form == "blocks" {
+            format!(
+                "{}a[0] = 1;\n{}",
+                "if (n > 0) {\n".repeat(n),
+                "}\n".repeat(n)
+            )
+        } else {
+            let (open, core, close) = match form {
+                "parens" => ("(", "1", ")"),
+                "negation" => ("- ", "1", ""),
+                "not" => ("!", "n", ""),
+                _ => ("a[", "0", "]"),
+            };
+            format!("a[0] = {}{core}{};", open.repeat(n), close.repeat(n))
+        };
+        format!("void f(float a[4], int n) {{\n{body}\n}}\n")
     }
 
     #[test]

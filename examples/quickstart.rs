@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use llmulator::{NumericPredictor, PredictorConfig, Sample, TrainOptions};
+use llmulator::{beam_search, NumericPredictor, PredictorConfig, Sample, TrainOptions};
 use llmulator_ir::builder::OperatorBuilder;
 use llmulator_ir::{Expr, InputData, Program, Stmt};
 use llmulator_synth::{synthesize, SynthesisConfig};
@@ -62,10 +62,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mp.confidence,
         );
     }
-    // Beam search exposes runner-up hypotheses for uncertain digits.
+    // Beam search, run on demand over the digit distribution, exposes
+    // runner-up hypotheses for uncertain digits (its best one is the
+    // greedy answer above).
     let cycles = prediction.metric(llmulator_sim::Metric::Cycles);
-    println!("\ncycles beam (top {}):", cycles.beams.len());
-    for beam in &cycles.beams {
+    let beams = beam_search(&cycles.distribution, 4);
+    println!("\ncycles beam (top {}):", beams.len());
+    for beam in &beams {
         println!("  digits {:?}  log-prob {:.2}", beam.digits, beam.log_prob);
     }
     Ok(())

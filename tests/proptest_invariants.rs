@@ -98,6 +98,31 @@ proptest! {
         prop_assert_eq!(&beams[0].digits, &dist.greedy());
     }
 
+    /// The greedy decode every prediction uses is exactly beam search's top
+    /// hypothesis, on rows built to trip a plain argmax: exact ties
+    /// (probabilities quantised to quarters), NaN entries, all-uniform rows,
+    /// and near-ties that the running f32 sum absorbs once tiny-probability
+    /// rows have driven it far below zero.
+    #[test]
+    fn greedy_is_exactly_the_beam_top1(seed in 0u64..1_000_000, width in 0usize..9, k in 1usize..8) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f32>> = (0..width)
+            .map(|_| match rng.gen_range(0..5) {
+                0 => (0..10).map(|_| f32::from(rng.gen_range(0u8..4)) * 0.25).collect(),
+                1 => (0..10)
+                    .map(|_| if rng.gen_bool(0.3) { f32::NAN } else { rng.gen_range(0.0f32..1.0) })
+                    .collect(),
+                2 => vec![rng.gen_range(0.0f32..1.0); 10],
+                // Each such row lowers the running sum by ~20.7.
+                3 => vec![1e-12f32; 10],
+                // Log-gaps of ~2e-7, below the sum's ulp past |s| ~ 4.
+                _ => (0..10).map(|_| 0.5 + f32::from(rng.gen_range(0u8..4)) * 1e-7).collect(),
+            })
+            .collect();
+        let dist = DigitDistribution::new(10, rows);
+        prop_assert_eq!(dist.greedy(), beam_search(&dist, k)[0].digits.clone());
+    }
+
     #[test]
     fn simulator_cycles_monotone_in_trip_count(n in 1i64..48, extra in 1i64..16) {
         let program = dyn_loop_program();
@@ -557,6 +582,33 @@ proptest! {
         let mut id = a.clone();
         id.merge(&LatencyHistogram::new());
         prop_assert_eq!(&id, &a, "empty histogram is the merge identity");
+    }
+}
+
+/// A non-finite pooled vector (a degenerate forward pass) decodes to
+/// all-zero digits on both decode paths, and to the top beam.
+#[test]
+fn non_finite_pooled_rows_decode_to_all_zero_digits() {
+    use llmulator::{ModelScale, NumericPredictor, PredictorConfig};
+    let model = NumericPredictor::new(PredictorConfig {
+        scale: ModelScale::Small,
+        max_len: 48,
+        ..PredictorConfig::default()
+    });
+    let d = model.encoder().config().d_model;
+    for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let pooled = Matrix::from_vec(1, d, vec![x; d]);
+        let rows = model.decode_pooled_rows(&pooled);
+        assert_eq!(rows, vec![model.decode_pooled(&pooled)], "{x}");
+        for mp in &rows[0].per_metric {
+            assert!(
+                mp.digits.iter().all(|&digit| digit == 0),
+                "{x}: {:?}",
+                mp.digits
+            );
+            assert_eq!(mp.value, 0.0);
+            assert_eq!(beam_search(&mp.distribution, 4)[0].digits, mp.digits);
+        }
     }
 }
 
