@@ -70,8 +70,15 @@ fn bench_kernels(reps: usize, inner: usize) -> Vec<KernelRow> {
     let mut rng = StdRng::seed_from_u64(5);
     let mut rows = Vec::new();
     // Medium-scale transformer shapes: q/k/v/wo projections (256×32·32×32),
-    // the FFN up/down projections, and per-head attention scores.
-    for &(m, k, n) in &[(256usize, 32usize, 32usize), (256, 32, 64), (256, 64, 32)] {
+    // the FFN up/down projections, and per-head attention: scores as
+    // Q × Kᵀ (256×8·8×256) and the weighted values (256×256·256×8).
+    for &(m, k, n) in &[
+        (256usize, 32usize, 32usize),
+        (256, 32, 64),
+        (256, 64, 32),
+        (256, 8, 256),
+        (256, 256, 8),
+    ] {
         let a = Matrix::randn(m, k, 1.0, &mut rng);
         let b = Matrix::randn(k, n, 1.0, &mut rng);
         let naive_secs = median_seconds(reps, || {

@@ -6,11 +6,11 @@
 //!    through `unpoisoned` (crates/core/src/sync.rs), which recovers the
 //!    guard instead.
 //! 2. **No `unwrap()`/`expect(` in serving hot paths.** The serve loop, the
-//!    TCP transport, the worker pool, the engine's request path, the IR
-//!    parser every program request goes through, the encoder inference
-//!    kernel and the daemon's background calibrator (online loop and DPO
-//!    step) must degrade with typed errors, not panics; test modules (after
-//!    `#[cfg(test)]`) are exempt.
+//!    TCP transport, the worker pool, the engine's request path, the JSON
+//!    parser and the IR parser every request goes through, the tokenizer,
+//!    the encoder inference kernel and the daemon's background calibrator
+//!    (online loop and DPO step) must degrade with typed errors, not panics;
+//!    test modules (after `#[cfg(test)]`) are exempt.
 //! 3. **No new `unsafe`.** The only sanctioned block is the signal-handler
 //!    FFI in crates/cli/src/net.rs; anything else needs a deliberate
 //!    allowlist change here.
@@ -35,7 +35,13 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/serve_pool.rs",
     "crates/ir/src/parse.rs",
     "crates/nn/src/infer.rs",
+    "crates/token/src/tokenizer.rs",
+    "vendor/serde_json/src/lib.rs",
 ];
+
+/// Directories scanned, relative to the repo root: every workspace crate,
+/// plus the vendored JSON parser that reads every request line.
+const SCAN_ROOTS: &[&str] = &["crates", "vendor/serde_json/src"];
 
 /// Files allowed to contain `unsafe` (rule 3).
 const UNSAFE_ALLOWLIST: &[&str] = &["crates/cli/src/net.rs"];
@@ -50,9 +56,7 @@ const SELF_PATH: &str = "crates/bench/src/bin/repo_lint.rs";
 
 fn main() {
     let root = repo_root();
-    let mut files = Vec::new();
-    collect_rust_files(&root.join("crates"), &mut files);
-    files.sort();
+    let files = scanned_files(&root);
 
     let mut violations = Vec::new();
     for path in &files {
@@ -158,6 +162,16 @@ fn contains_word(haystack: &str, word: &str) -> bool {
     false
 }
 
+/// Every `.rs` file under [`SCAN_ROOTS`], sorted.
+fn scanned_files(root: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for dir in SCAN_ROOTS {
+        collect_rust_files(&root.join(dir), &mut files);
+    }
+    files.sort();
+    files
+}
+
 fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -240,10 +254,19 @@ mod tests {
     }
 
     #[test]
+    fn the_vendored_json_parser_is_scanned_as_a_hot_path() {
+        let root = repo_root();
+        let lib = root.join("vendor/serde_json/src/lib.rs");
+        assert!(scanned_files(&root).contains(&lib), "vendor path scanned");
+        let v = lint_file("vendor/serde_json/src/lib.rs", "let x = y.unwrap();\n");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("serving hot path"), "{v:?}");
+    }
+
+    #[test]
     fn the_repository_is_currently_clean() {
         let root = repo_root();
-        let mut files = Vec::new();
-        collect_rust_files(&root.join("crates"), &mut files);
+        let files = scanned_files(&root);
         assert!(!files.is_empty(), "source files found");
         let mut violations = Vec::new();
         for path in &files {

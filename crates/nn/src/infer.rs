@@ -18,7 +18,10 @@
 //!   projection runs as a single blocked GEMM for the whole group, while
 //!   attention stays block-diagonal with an optional per-sample mask.
 //!   [`forward`] is a pack of one, and every packed sample is bit-identical
-//!   to [`forward`] on that sample alone;
+//!   to [`forward`] on that sample alone. Each head's scores are one GEMM on
+//!   the transposed `k` head block, and the softmax row max is taken over
+//!   eight lanes; both give the tape's bits (see `lane_max` for the
+//!   `±0`/NaN argument);
 //! * [`encode_cached`] — the incremental path recomputing only rows
 //!   reachable (per mask) from changed tokens.
 //!
@@ -130,13 +133,62 @@ fn layer_norm_into(x: &Matrix, gain: &Matrix, bias: &Matrix, out: &mut Matrix) {
     }
 }
 
+/// Lanes of the row-max reduction in [`lane_max`].
+const MAX_LANES: usize = 8;
+
+/// Applies `s = s * scale (+ mask)` to one score row in place (the tape's
+/// association) and returns its [`lane_max`].
+fn scale_mask_max(row: &mut [f32], mask: Option<&[f32]>, scale: f32) -> f32 {
+    match mask {
+        Some(m) => {
+            for (s, &mv) in row.iter_mut().zip(m) {
+                *s = *s * scale + mv;
+            }
+        }
+        None => {
+            for s in row.iter_mut() {
+                *s *= scale;
+            }
+        }
+    }
+    lane_max(row)
+}
+
+/// Row maximum taken over [`MAX_LANES`] independent lanes and then folded,
+/// so no single dependent `max` chain runs the length of the row.
+///
+/// It equals the sequential `f32::max` fold that [`softmax_slice`] takes,
+/// up to the sign of a zero: `f32::max` ignores NaN whichever side it is
+/// on and is otherwise order-independent, and a maximum of `+0.0` versus
+/// `-0.0` changes no `(v - max).exp()`. So `softmax_slice_with_max` gives
+/// bit-identical output with either.
+fn lane_max(row: &[f32]) -> f32 {
+    let mut lanes = [f32::NEG_INFINITY; MAX_LANES];
+    let mut chunks = row.chunks_exact(MAX_LANES);
+    for chunk in &mut chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = lane.max(v);
+        }
+    }
+    for (lane, &v) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = lane.max(v);
+    }
+    lanes.into_iter().fold(f32::NEG_INFINITY, f32::max)
+}
+
 /// One attention head over column block `off..off+hd` of one sample: the
 /// `n = scores.rows()` rows of `q`/`k`/`v` starting at `base`, attended
-/// under that sample's `n × n` additive `mask`. Fills `scores` with the
-/// softmaxed (scaled, masked) weights and writes the weighted values into
-/// the sample's rows of `cat`'s column block. `vh`/`head_out` are `n × hd`
-/// scratch matrices. The block's rows are walked as zero-based slices, so
-/// every sample of a pack runs exactly the single-sequence loop.
+/// under that sample's `n × n` additive `mask`.
+///
+/// The scores are one GEMM: the head's `q` block (gathered into `vh`)
+/// times the transposed `k` block (gathered into `head_out`, transposed
+/// into `kt`, `hd × n`), each element summed in head-dimension order like
+/// the tape's `matmul_nt`. A second pass per row applies `* scale (+ mask)`
+/// and takes the lane max ([`scale_mask_max`]) for the softmax. The
+/// weighted values `scores × v` block are written into the sample's rows
+/// of `cat`'s column block. `vh`/`head_out` are `n × hd` scratch matrices.
+/// Every operand is gathered out of the sample's row block first, so every
+/// sample of a pack runs exactly the single-sequence path.
 #[allow(clippy::too_many_arguments)]
 fn attention_head(
     q: &Matrix,
@@ -148,50 +200,23 @@ fn attention_head(
     hd: usize,
     scale: f32,
     scores: &mut Matrix,
+    kt: &mut Matrix,
     vh: &mut Matrix,
     head_out: &mut Matrix,
     cat: &mut Matrix,
 ) {
     let n = scores.rows();
-    let d = q.cols();
-    let qb = &q.data()[base * d..(base + n) * d];
-    let kb = &k.data()[base * d..(base + n) * d];
-    for (i, qr) in qb.chunks_exact(d).enumerate() {
-        let qr = &qr[off..off + hd];
+    q.gather_block_into(base, base + n, off, hd, vh);
+    k.gather_block_into(base, base + n, off, hd, head_out);
+    head_out.transpose_into(kt);
+    vh.matmul_into(kt, scores);
+    for i in 0..n {
         let sr = scores.row_mut(i);
-        // A plain zip dot beats a multi-row unroll at head dimension ≤ 16:
-        // the iterator pair carries no bounds checks and the compiler fully
-        // unrolls the short inner loop. Scale/mask are fused into the same
-        // pass ((dot·scale) + mask, the tape's association), tracking the
-        // row maximum in `j` order exactly as the softmax fold would.
-        let dots = kb.chunks_exact(d).map(|kr| {
-            let kr = &kr[off..off + hd];
-            qr.iter()
-                .zip(kr)
-                .fold(0.0f32, |acc, (&qv, &kv)| acc + qv * kv)
-                * scale
-        });
-        let mut mx = f32::NEG_INFINITY;
-        match mask {
-            Some(m) => {
-                for ((s, sv), &mv) in sr.iter_mut().zip(dots).zip(m.row(i)) {
-                    let sv = sv + mv;
-                    mx = mx.max(sv);
-                    *s = sv;
-                }
-            }
-            None => {
-                for (s, sv) in sr.iter_mut().zip(dots) {
-                    mx = mx.max(sv);
-                    *s = sv;
-                }
-            }
-        }
+        let mx = scale_mask_max(sr, mask.map(|m| m.row(i)), scale);
         crate::matrix::softmax_slice_with_max(sr, mx);
     }
-    // head_out = scores × v[block, off..off+hd] through the blocked kernel on
-    // a materialized head slice — the same structure (and bit pattern) as
-    // the tape's slice_cols + matmul.
+    // head_out = scores × v[block, off..off+hd] — the same structure (and
+    // bit pattern) as the tape's slice_cols + matmul.
     v.gather_block_into(base, base + n, off, hd, vh);
     scores.matmul_into(vh, head_out);
     cat.scatter_block_from(base, off, head_out);
@@ -310,6 +335,7 @@ fn forward_kernel(
     let mut k = scratch.matrix(rows, d);
     let mut v = scratch.matrix(rows, d);
     let mut scores = scratch.matrix(n, n);
+    let mut kt = scratch.matrix(hd, n);
     let mut vh = scratch.matrix(n, hd);
     let mut head_out = scratch.matrix(n, hd);
     let mut cat = scratch.matrix(rows, d);
@@ -341,6 +367,7 @@ fn forward_kernel(
                     hd,
                     scale,
                     &mut scores,
+                    &mut kt,
                     &mut vh,
                     &mut head_out,
                     &mut cat,
@@ -380,19 +407,23 @@ fn forward_kernel(
     for s in 0..b {
         seq.mean_rows_block_into(s * n, (s + 1) * n, pooled.row_mut(s));
     }
-    for m in [x, ln, q, k, v, scores, vh, head_out, cat, proj, hidden, ffn] {
+    for m in [
+        x, ln, q, k, v, scores, kt, vh, head_out, cat, proj, hidden, ffn,
+    ] {
         scratch.recycle(m);
     }
     (seq, pooled)
 }
 
-/// The pre-optimization forward pass, kept verbatim as a test oracle and
-/// perf baseline for [`forward`]: naive axpy row-matmuls with a fresh `Vec`
-/// per row, element-wise `get()` accessors in the attention loops, and no
+/// The pre-optimization forward pass, kept as a test oracle and perf
+/// baseline for [`forward`]: naive axpy row-matmuls with a fresh `Vec` per
+/// row, element-wise `get()` accessors in the attention loops, and no
 /// buffer reuse — the implementation every prediction ran through before the
 /// blocked kernels and [`Scratch`] landed.
 ///
-/// Produces bit-identical `(seq, pooled)` results to [`forward`].
+/// Produces bit-identical `(seq, pooled)` results to [`forward`]. Like the
+/// kernels, it skips no zero term, so the identity also holds when a zero
+/// weight meets an infinite or NaN activation.
 ///
 /// # Panics
 ///
@@ -406,9 +437,6 @@ pub fn encode_naive(
     fn row_matmul(row: &[f32], w: &Matrix) -> Vec<f32> {
         let mut out = vec![0.0f32; w.cols()];
         for (k, &a) in row.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
             for (o, &b) in out.iter_mut().zip(w.row(k)) {
                 *o += a * b;
             }
@@ -487,9 +515,6 @@ pub fn encode_naive(
                 }
                 softmax_slice(&mut scores);
                 for (j, &a) in scores.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
                     for c in 0..hd {
                         cat[off + c] += a * v.get(j, off + c);
                     }
@@ -874,6 +899,48 @@ mod tests {
             let (fs, fp) = forward(&t, &store, &tokens, mask.as_ref(), &mut scratch);
             assert_eq!(ns.data(), fs.data(), "seq (mask={})", mask.is_some());
             assert_eq!(np.data(), fp.data(), "pooled (mask={})", mask.is_some());
+        }
+    }
+
+    #[test]
+    fn lane_max_feeds_softmax_bit_identically_to_the_sequential_fold() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for len in [7usize, 8, 9] {
+            for case in 0..5 {
+                // Negative base entries, so a zero is the row maximum.
+                let mut row: Vec<f32> = (0..len).map(|j| -1.0 - 0.25 * j as f32).collect();
+                match case {
+                    0 => (row[1], row[len - 1]) = (0.0, -0.0),
+                    1 => (row[0], row[len - 2]) = (-0.0, 0.0),
+                    2 => row[len / 2] = nan,
+                    3 => row[len - 1] = inf,
+                    _ => row.fill(f32::NEG_INFINITY),
+                }
+                let mask_row: Vec<f32> =
+                    (0..len).map(|j| if j == 2 { -1e9 } else { 0.0 }).collect();
+                for mask in [None, Some(&mask_row[..])] {
+                    let scale = 0.353_553_4;
+                    let mut fast = row.clone();
+                    let mx = scale_mask_max(&mut fast, mask, scale);
+                    crate::matrix::softmax_slice_with_max(&mut fast, mx);
+                    let mut slow: Vec<f32> = row
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &s)| match mask {
+                            Some(m) => s * scale + m[j],
+                            None => s * scale,
+                        })
+                        .collect();
+                    softmax_slice(&mut slow);
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&slow),
+                        "len={len} case={case} mask={}",
+                        mask.is_some()
+                    );
+                }
+            }
         }
     }
 

@@ -3,8 +3,13 @@
 //! The production matmul kernels (`matmul_into` and friends) are
 //! register-blocked for autovectorization but keep the *exact* per-element
 //! floating-point accumulation order of the naive triple loops, so swapping
-//! them in changes no result bit. The naive loops survive as `*_naive` test
-//! oracles.
+//! them in changes no result bit. `matmul_into` is a register-tiled
+//! microkernel: each 4-row × 8-column block of the output stays in
+//! registers for the whole `k` loop and is stored once, with scalar tails
+//! in the same `k` order. Rust never contracts a multiply and an add into
+//! an FMA, so the tiling cannot change rounding. The naive loops survive as
+//! `*_naive` test oracles; they skip no term, so they agree with the
+//! kernels on zeros, infinities and NaN too.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -20,7 +25,8 @@ pub fn softmax_slice(row: &mut [f32]) {
 }
 
 /// [`softmax_slice`] when the caller already tracked the row maximum (must
-/// equal the sequential `f32::max` fold over the slice).
+/// equal the `f32::max` fold over the slice, in any order: NaN entries are
+/// ignored, and the sign of a zero maximum changes no output bit).
 pub(crate) fn softmax_slice_with_max(row: &mut [f32], max: f32) {
     if !max.is_finite() {
         let inv = 1.0 / row.len() as f32;
@@ -37,6 +43,41 @@ pub(crate) fn softmax_slice_with_max(row: &mut [f32], max: f32) {
     let inv = 1.0 / sum.max(1e-12);
     for v in row.iter_mut() {
         *v *= inv;
+    }
+}
+
+/// Output rows per register tile of [`Matrix::matmul_into`].
+const TILE_ROWS: usize = 4;
+/// Output columns per register tile of [`Matrix::matmul_into`].
+const TILE_COLS: usize = 8;
+
+/// One `R × TILE_COLS` tile of `c = a × b` at `(i, j)`, with `a` row-major
+/// `· × kdim` and `b`/`c` row-major `· × n`: the accumulators stay in
+/// registers over the whole `k` loop, each summing from `0.0` in `k` order.
+#[inline(always)]
+fn gemm_tile<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    kdim: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+) {
+    let ar: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * kdim..(i + r + 1) * kdim]);
+    let mut acc = [[0.0f32; TILE_COLS]; R];
+    for kk in 0..kdim {
+        let br = &b[kk * n + j..kk * n + j + TILE_COLS];
+        for (accr, arow) in acc.iter_mut().zip(&ar) {
+            let av = arow[kk];
+            for (o, &bv) in accr.iter_mut().zip(br) {
+                *o += av * bv;
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        let at = (i + r) * n + j;
+        c[at..at + TILE_COLS].copy_from_slice(accr);
     }
 }
 
@@ -189,9 +230,12 @@ impl Matrix {
 
     /// `out = self × other`, allocation-free when `out` has capacity.
     ///
-    /// Register-blocked ikj kernel: four output rows share each loaded `B`
-    /// row, with the per-element accumulation still running over `k` in
-    /// order, so results are bit-identical to [`Matrix::matmul_naive`].
+    /// Register-tiled: each 4-row × 8-column block of `out` is held in
+    /// registers across the whole `k` loop and stored once. Rows past the
+    /// last full group of four run the same tile one row at a time, and
+    /// columns past the last multiple of eight run a scalar dot. Every
+    /// element is still `0.0 + a₀b₀ + a₁b₁ + …` in `k` order, so results are
+    /// bit-identical to [`Matrix::matmul_naive`].
     ///
     /// # Panics
     ///
@@ -203,43 +247,31 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, kdim, n) = (self.rows, self.cols, other.cols);
-        out.resize_buf(m, n);
-        let a = &self.data;
-        let b = &other.data;
+        out.resize_buf_overwrite(m, n);
+        let (a, b, c) = (&self.data, &other.data, &mut out.data);
+        let n_tiled = n - n % TILE_COLS;
         let mut i = 0;
-        while i + 4 <= m {
-            let block = &mut out.data[i * n..(i + 4) * n];
-            let (c0, rest) = block.split_at_mut(n);
-            let (c1, rest) = rest.split_at_mut(n);
-            let (c2, c3) = rest.split_at_mut(n);
-            for kk in 0..kdim {
-                let a0 = a[i * kdim + kk];
-                let a1 = a[(i + 1) * kdim + kk];
-                let a2 = a[(i + 2) * kdim + kk];
-                let a3 = a[(i + 3) * kdim + kk];
-                let br = &b[kk * n..kk * n + n];
-                for (o0, (o1, (o2, (o3, &bv)))) in c0
-                    .iter_mut()
-                    .zip(c1.iter_mut().zip(c2.iter_mut().zip(c3.iter_mut().zip(br))))
-                {
-                    *o0 += a0 * bv;
-                    *o1 += a1 * bv;
-                    *o2 += a2 * bv;
-                    *o3 += a3 * bv;
-                }
+        while i + TILE_ROWS <= m {
+            for j in (0..n_tiled).step_by(TILE_COLS) {
+                gemm_tile::<TILE_ROWS>(a, b, c, kdim, n, i, j);
             }
-            i += 4;
+            i += TILE_ROWS;
         }
         while i < m {
-            let cr = &mut out.data[i * n..(i + 1) * n];
-            for kk in 0..kdim {
-                let av = a[i * kdim + kk];
-                let br = &b[kk * n..kk * n + n];
-                for (o, &bv) in cr.iter_mut().zip(br) {
-                    *o += av * bv;
-                }
+            for j in (0..n_tiled).step_by(TILE_COLS) {
+                gemm_tile::<1>(a, b, c, kdim, n, i, j);
             }
             i += 1;
+        }
+        for i in 0..m {
+            let ar = &a[i * kdim..(i + 1) * kdim];
+            for j in n_tiled..n {
+                let mut acc = 0.0f32;
+                for (kk, &av) in ar.iter().enumerate() {
+                    acc += av * b[kk * n + j];
+                }
+                c[i * n + j] = acc;
+            }
         }
     }
 
@@ -422,9 +454,6 @@ impl Matrix {
             let a_row = self.row(i);
             let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
             for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
                 let b_row = other.row(k);
                 for (o, &b) in out_row.iter_mut().zip(b_row) {
                     *o += a * b;
@@ -468,9 +497,6 @@ impl Matrix {
             let a_row = self.row(k);
             let b_row = other.row(k);
             for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
                 let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
                 for (o, &b) in out_row.iter_mut().zip(b_row) {
                     *o += a * b;

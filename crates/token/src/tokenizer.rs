@@ -154,7 +154,7 @@ impl Tokenizer {
             // Punctuation (ASCII-only table), longest match first.
             for p in crate::vocab::PUNCT {
                 if text[pos..].starts_with(p) {
-                    out.push(self.vocab.punct(p).expect("PUNCT entries resolve"));
+                    out.push(self.vocab.punct(p).unwrap_or(crate::vocab::UNK));
                     i += p.len(); // ASCII: byte length == char count
                     continue 'outer;
                 }

@@ -241,6 +241,43 @@ proptest! {
         }
     }
 
+    /// The register-tiled `matmul_into` equals the plain triple-loop oracle
+    /// bit for bit on shapes hitting every `m % 4` and `n % 8` tail and
+    /// `k = 0`, with entries mixing finite normals, `±0.0`, `±inf`, NaN and
+    /// subnormals, written into a stale, wrongly shaped output buffer.
+    /// Signed zeros and infinities compare by `to_bits`; NaN compares as a
+    /// class, because Rust leaves the sign and payload of a NaN that
+    /// arithmetic produces unspecified (the compiler may swap the operands
+    /// of `+` and `*`, which picks which NaN propagates).
+    #[test]
+    fn tiled_matmul_is_bit_identical_to_the_plain_oracle(
+        m in 0usize..40, k in 0usize..40, n in 0usize..40, seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x711e);
+        let mut entry = || match rng.gen_range(0u32..400) {
+            0..=19 => 0.0,
+            20..=39 => -0.0,
+            40 => f32::INFINITY,
+            41 => f32::NEG_INFINITY,
+            42 => f32::NAN,
+            43..=52 => f32::MIN_POSITIVE * rng.gen_range(-0.99f32..0.99),
+            _ => rng.gen_range(-3.0f32..3.0),
+        };
+        let a = Matrix::from_vec(m, k, (0..m * k).map(|_| entry()).collect());
+        let b = Matrix::from_vec(k, n, (0..k * n).map(|_| entry()).collect());
+        let mut out = Matrix::from_fn(n + 3, m + 1, |_, _| f32::NAN);
+        a.matmul_into(&b, &mut out);
+        let oracle = a.matmul_naive(&b);
+        prop_assert_eq!(out.shape(), (m, n));
+        let bits = |x: &Matrix| {
+            x.data()
+                .iter()
+                .map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() })
+                .collect::<Vec<_>>()
+        };
+        prop_assert_eq!(bits(&out), bits(&oracle));
+    }
+
     /// The one encoder inference kernel against the independent row-loop
     /// oracle: for packs of 1–8 sequences sharing an effective length
     /// (raw lengths 0 to `max_len + 8`, so longer ones truncate together)
@@ -272,6 +309,55 @@ proptest! {
             let (ns, np) = encode_naive(&t, &store, tokens, None);
             prop_assert_eq!(&seq.data()[s * n * cfg.d_model..(s + 1) * n * cfg.d_model], ns.data());
             prop_assert_eq!(pooled.row(s), np.row(0), "sample {}", s);
+        }
+    }
+
+    /// The attention path against both references on the `tiny` config
+    /// (head dimension 8): for lengths 1 to `max_len + 8`, so `n < 8`,
+    /// `n % 8 ≠ 0` and truncation all occur, with and without a random
+    /// additive mask that fully masks at least one row, `forward` equals
+    /// `encode_naive` and the tape's `Transformer::encode` bit for bit; and
+    /// every sample of a pack of 1–4 through `forward_packed` equals
+    /// `forward` on that sample alone.
+    #[test]
+    fn attention_gemm_path_matches_the_oracle_and_the_tape(
+        len in 1usize..41, group in 1usize..5, seed in 0u64..1000,
+    ) {
+        use llmulator_nn::{encode_naive, forward, forward_packed, Graph, ParamStore, Scratch, Transformer, TransformerConfig};
+        let cfg = TransformerConfig::tiny(64);
+        let mut store = ParamStore::new();
+        let t = Transformer::new(cfg, &mut store, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xa77e);
+        let n = cfg.effective_len(len);
+        let blocked_row = rng.gen_range(0..n);
+        let mask_data: Vec<f32> = (0..n * n)
+            .map(|at| if at / n == blocked_row || rng.gen_bool(0.3) { -1e9 } else { 0.0 })
+            .collect();
+        let mask = Matrix::from_vec(n, n, mask_data);
+        let seqs: Vec<Vec<u32>> = (0..group)
+            .map(|_| (0..len).map(|_| rng.gen_range(0u32..64)).collect())
+            .collect();
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut scratch = Scratch::new();
+        for m in [None, Some(&mask)] {
+            for tokens in &seqs {
+                let (fs, fp) = forward(&t, &store, tokens, m, &mut scratch);
+                let (ns, np) = encode_naive(&t, &store, tokens, m);
+                let mut g = Graph::new();
+                let out = t.encode(&mut g, &store, tokens, m);
+                prop_assert_eq!(bits(fs.data()), bits(ns.data()), "naive seq, mask={}", m.is_some());
+                prop_assert_eq!(bits(fp.data()), bits(np.data()), "naive pooled, mask={}", m.is_some());
+                prop_assert_eq!(bits(fs.data()), bits(g.value(out.seq).data()), "tape seq, mask={}", m.is_some());
+                prop_assert_eq!(bits(fp.data()), bits(g.value(out.pooled).data()), "tape pooled, mask={}", m.is_some());
+            }
+        }
+        let refs: Vec<&[u32]> = seqs.iter().map(Vec::as_slice).collect();
+        let (seq, pooled) = forward_packed(&t, &store, &refs, &mut scratch);
+        let d = cfg.d_model;
+        for (s, tokens) in seqs.iter().enumerate() {
+            let (fs, fp) = forward(&t, &store, tokens, None, &mut scratch);
+            prop_assert_eq!(bits(&seq.data()[s * n * d..(s + 1) * n * d]), bits(fs.data()), "packed seq {}", s);
+            prop_assert_eq!(bits(pooled.row(s)), bits(fp.data()), "packed pooled {}", s);
         }
     }
 
