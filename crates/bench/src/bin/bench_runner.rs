@@ -1,16 +1,19 @@
 //! Machine-readable perf trajectory: times the nn kernel layer and the
 //! prediction stack, writing `BENCH_nn_kernels.json` at the repo root.
 //!
-//! Four measurement groups:
+//! Five measurement groups:
 //!
 //! 1. **Kernels** — GFLOP/s of the naive triple-loop matmuls versus the
 //!    blocked production kernels at the Medium-scale transformer shapes;
 //! 2. **Single-sample encode** — latency of one prediction through the old
 //!    autodiff-tape forward pass versus the scratch-backed blocked forward
 //!    (both produce bit-identical outputs);
-//! 3. **Batch prediction** — `predict_batch` throughput over the Table 3
+//! 3. **Train step** — one autodiff-tape step on the same sample
+//!    (forward, backward and `param_grads`), the unit of work of training
+//!    and DPO calibration;
+//! 4. **Batch prediction** — `predict_batch` throughput over the Table 3
 //!    evaluation set at 1/2/4 worker threads;
-//! 4. **Fused batch** — the packed same-length-group GEMM path
+//! 5. **Fused batch** — the packed same-length-group GEMM path
 //!    (`predict_batch_threads`) versus the per-sample baseline
 //!    (`predict_batch_unfused_threads`) at matched thread counts, gated on
 //!    an exact-equality check against the per-sample oracle, plus a
@@ -28,6 +31,7 @@
 use llmulator::{fusion_group_key, group_by_key, NumericPredictor, Sample};
 use llmulator_bench::context::{all_workloads, median_seconds, predictor_config, EVAL_FACTORS};
 use llmulator_nn::{Graph, Matrix, Scratch, TransformerConfig};
+use llmulator_sim::Metric;
 use llmulator_synth::DataFormat;
 use llmulator_token::NumericMode;
 use rand::rngs::StdRng;
@@ -334,6 +338,31 @@ fn main() {
         }
     }) / encode_inner as f64;
 
+    // --- one tape training step: forward + backward + param_grads ---
+    // The loss is the cycles-metric log-likelihood of the sample's true
+    // digits (DPO's building block); fine-tuning's loss differs only in
+    // the digit heads, so the encoder work is the same.
+    eprintln!("bench-runner: tape train step...");
+    let cycles_digits = &model.targets_of(&sample.cost)[Metric::all()
+        .iter()
+        .position(|&m| m == Metric::Cycles)
+        .expect("cycles is a metric")];
+    let train_step_secs = median_seconds(encode_reps, || {
+        for _ in 0..encode_inner {
+            let mut g = Graph::new();
+            let lp = model.log_prob_node(
+                &mut g,
+                model.store(),
+                &tokens,
+                Metric::Cycles,
+                cycles_digits,
+            );
+            let loss = g.scale(lp, -1.0);
+            g.backward(loss);
+            std::hint::black_box(g.param_grads(model.store()));
+        }
+    }) / encode_inner as f64;
+
     // --- batch throughput over the Table 3 eval set ---
     eprintln!("bench-runner: batch prediction throughput...");
     let eval_workloads: &[_] = if quick { &workloads[..6] } else { &workloads };
@@ -455,6 +484,12 @@ fn main() {
         fwd_secs * 1e3,
         naive_secs / fwd_secs,
         tape_secs / fwd_secs
+    );
+    let _ = writeln!(
+        json,
+        "  \"train_step\": {{ \"scale\": \"Medium\", \"tokens\": {}, \"tape_fwd_bwd_grads_ms\": {:.4} }},",
+        tokens.len(),
+        train_step_secs * 1e3
     );
     json.push_str("  \"batch_predict\": {\n");
     let _ = writeln!(json, "    \"samples\": {},", eval.len());

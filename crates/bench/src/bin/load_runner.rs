@@ -1,9 +1,11 @@
 //! Closed-loop and burst load generator for the `llmulator serve --tcp`
-//! daemon, writing `BENCH_serve.json` at the repo root.
+//! daemon, writing its JSON report to the required `--out` path. It checks
+//! serving correctness under load and chaos (zero lost requests, structured
+//! errors); `llmbench` measures serving performance.
 //!
 //! Boot a daemon first (`llmulator serve --model m.json --tcp 127.0.0.1:PORT`),
 //! then run `cargo run --release -p llmulator-bench --bin load-runner --
-//! --addr 127.0.0.1:PORT [--quick] [--out PATH] [--requests N]`.
+//! --addr 127.0.0.1:PORT --out PATH [--quick] [--requests N]`.
 //!
 //! Two load shapes are driven against the same daemon:
 //!
@@ -495,17 +497,15 @@ fn main() {
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1).cloned())
     };
-    let Some(addr) = flag_value("--addr") else {
+    let (Some(addr), Some(out_path)) = (flag_value("--addr"), flag_value("--out")) else {
         eprintln!(
-            "usage: load-runner --addr HOST:PORT [--quick] [--chaos] [--feedback] [--out PATH] \
+            "usage: load-runner --addr HOST:PORT --out PATH [--quick] [--chaos] [--feedback] \
              [--requests N]\n\
              boot the daemon first: llmulator serve --model m.json --tcp 127.0.0.1:PORT\n\
              (--feedback expects a daemon booted with --calibrate)"
         );
         std::process::exit(2);
     };
-    let out_path = flag_value("--out")
-        .unwrap_or_else(|| format!("{}/../../BENCH_serve.json", env!("CARGO_MANIFEST_DIR")));
     let default_requests = if quick { 8 } else { 50 };
     let requests: usize = flag_value("--requests")
         .map(|v| v.parse().expect("--requests takes an integer"))

@@ -82,7 +82,7 @@ const NUM_BUCKETS: usize = 48;
 /// observed maximum*: for a true percentile `t` the estimate `e` satisfies
 /// `t <= e <= min(2t + 2, max)`. Merging is exact (bucket counts add), so
 /// per-worker histograms combine associatively into one summary — the
-/// property that makes `BENCH_serve.json`'s aggregated numbers trustworthy.
+/// property that makes the aggregated `stats` percentiles trustworthy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: [u64; NUM_BUCKETS],

@@ -20,8 +20,10 @@
 //!   [`forward`] is a pack of one, and every packed sample is bit-identical
 //!   to [`forward`] on that sample alone. Each head's scores are one GEMM on
 //!   the transposed `k` head block, and the softmax row max is taken over
-//!   eight lanes; both give the tape's bits (see `lane_max` for the
-//!   `±0`/NaN argument);
+//!   eight lanes (see `lane_max` for the `±0`/NaN argument). The per-head
+//!   routine, `attention_head`, is also the forward of the tape's fused
+//!   [`crate::Graph::attention`] node, so training and inference run one
+//!   attention kernel;
 //! * [`encode_cached`] — the incremental path recomputing only rows
 //!   reachable (per mask) from changed tokens.
 //!
@@ -182,15 +184,17 @@ fn lane_max(row: &[f32]) -> f32 {
 ///
 /// The scores are one GEMM: the head's `q` block (gathered into `vh`)
 /// times the transposed `k` block (gathered into `head_out`, transposed
-/// into `kt`, `hd × n`), each element summed in head-dimension order like
-/// the tape's `matmul_nt`. A second pass per row applies `* scale (+ mask)`
-/// and takes the lane max ([`scale_mask_max`]) for the softmax. The
-/// weighted values `scores × v` block are written into the sample's rows
-/// of `cat`'s column block. `vh`/`head_out` are `n × hd` scratch matrices.
-/// Every operand is gathered out of the sample's row block first, so every
-/// sample of a pack runs exactly the single-sequence path.
+/// into `kt`, `hd × n`), each element summed in head-dimension order. A
+/// second pass per row applies `* scale (+ mask)` and takes the lane max
+/// ([`scale_mask_max`]) for the softmax, leaving the probabilities in
+/// `scores`. The weighted values `scores × v` block are written into the
+/// sample's rows of `cat`'s column block. `vh`/`head_out` are `n × hd`
+/// scratch matrices. Every operand is gathered out of the sample's row
+/// block first, so every sample of a pack runs exactly the single-sequence
+/// path. [`crate::Graph::attention`] runs this routine per head with a
+/// fresh `scores` and keeps it for its backward pass.
 #[allow(clippy::too_many_arguments)]
-fn attention_head(
+pub(crate) fn attention_head(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
@@ -215,8 +219,7 @@ fn attention_head(
         let mx = scale_mask_max(sr, mask.map(|m| m.row(i)), scale);
         crate::matrix::softmax_slice_with_max(sr, mx);
     }
-    // head_out = scores × v[block, off..off+hd] — the same structure (and
-    // bit pattern) as the tape's slice_cols + matmul.
+    // head_out = scores × v[block, off..off+hd].
     v.gather_block_into(base, base + n, off, hd, vh);
     scores.matmul_into(vh, head_out);
     cat.scatter_block_from(base, off, head_out);

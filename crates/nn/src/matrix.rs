@@ -3,13 +3,14 @@
 //! The production matmul kernels (`matmul_into` and friends) are
 //! register-blocked for autovectorization but keep the *exact* per-element
 //! floating-point accumulation order of the naive triple loops, so swapping
-//! them in changes no result bit. `matmul_into` is a register-tiled
-//! microkernel: each 4-row × 8-column block of the output stays in
-//! registers for the whole `k` loop and is stored once, with scalar tails
-//! in the same `k` order. Rust never contracts a multiply and an add into
-//! an FMA, so the tiling cannot change rounding. The naive loops survive as
-//! `*_naive` test oracles; they skip no term, so they agree with the
-//! kernels on zeros, infinities and NaN too.
+//! them in changes no result bit. `matmul_into` and `matmul_tn_into` share
+//! one register-tiled microkernel: each 4-row × 8-column block of the
+//! output stays in registers for the whole `k` loop and is stored once,
+//! with scalar tails in the same `k` order; `matmul_nt_into` transposes its
+//! right operand and runs `matmul_into`. Rust never contracts a multiply
+//! and an add into an FMA, so the tiling cannot change rounding. The naive
+//! loops survive as `*_naive` test oracles; they skip no term, so they
+//! agree with the kernels on zeros, infinities and NaN too.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -46,30 +47,45 @@ pub(crate) fn softmax_slice_with_max(row: &mut [f32], max: f32) {
     }
 }
 
-/// Output rows per register tile of [`Matrix::matmul_into`].
+/// Output rows per register tile of [`gemm`].
 const TILE_ROWS: usize = 4;
-/// Output columns per register tile of [`Matrix::matmul_into`].
+/// Output columns per register tile of [`gemm`].
 const TILE_COLS: usize = 8;
 
-/// One `R × TILE_COLS` tile of `c = a × b` at `(i, j)`, with `a` row-major
-/// `· × kdim` and `b`/`c` row-major `· × n`: the accumulators stay in
-/// registers over the whole `k` loop, each summing from `0.0` in `k` order.
+/// One `R × TILE_COLS` tile of `c = op(a) × b` at `(i, j)`. `op(a)` is `a`
+/// (row-major `m × kdim`) or, with `TRANS_A`, `aᵀ` (`a` row-major
+/// `kdim × m`, so `op(a)`'s rows `i..i+R` at depth `kk` are contiguous);
+/// `b`/`c` are row-major `· × n`. The accumulators stay in registers over
+/// the whole `k` loop, each summing from `0.0` in `k` order.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn gemm_tile<const R: usize>(
+fn gemm_tile<const R: usize, const TRANS_A: bool>(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
+    m: usize,
     kdim: usize,
     n: usize,
     i: usize,
     j: usize,
 ) {
-    let ar: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * kdim..(i + r + 1) * kdim]);
+    let ar: [&[f32]; R] = std::array::from_fn(|r| {
+        if TRANS_A {
+            &[][..]
+        } else {
+            &a[(i + r) * kdim..(i + r + 1) * kdim]
+        }
+    });
     let mut acc = [[0.0f32; TILE_COLS]; R];
     for kk in 0..kdim {
         let br = &b[kk * n + j..kk * n + j + TILE_COLS];
-        for (accr, arow) in acc.iter_mut().zip(&ar) {
-            let av = arow[kk];
+        let at = if TRANS_A {
+            &a[kk * m + i..kk * m + i + R]
+        } else {
+            &[][..]
+        };
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let av = if TRANS_A { at[r] } else { ar[r][kk] };
             for (o, &bv) in accr.iter_mut().zip(br) {
                 *o += av * bv;
             }
@@ -78,6 +94,42 @@ fn gemm_tile<const R: usize>(
     for (r, accr) in acc.iter().enumerate() {
         let at = (i + r) * n + j;
         c[at..at + TILE_COLS].copy_from_slice(accr);
+    }
+}
+
+/// `c = op(a) × b` (see [`gemm_tile`] for the layouts), every element
+/// assigned. Full 4×8 tiles first; rows past the last group of four run
+/// the same tile one row at a time, and columns past the last multiple of
+/// eight run a scalar dot. Every element is `0.0 + a₀b₀ + a₁b₁ + …` in `k`
+/// order.
+fn gemm<const TRANS_A: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kdim: usize, n: usize) {
+    let n_tiled = n - n % TILE_COLS;
+    let mut i = 0;
+    while i + TILE_ROWS <= m {
+        for j in (0..n_tiled).step_by(TILE_COLS) {
+            gemm_tile::<TILE_ROWS, TRANS_A>(a, b, c, m, kdim, n, i, j);
+        }
+        i += TILE_ROWS;
+    }
+    while i < m {
+        for j in (0..n_tiled).step_by(TILE_COLS) {
+            gemm_tile::<1, TRANS_A>(a, b, c, m, kdim, n, i, j);
+        }
+        i += 1;
+    }
+    for i in 0..m {
+        for j in n_tiled..n {
+            let mut acc = 0.0f32;
+            for kk in 0..kdim {
+                let av = if TRANS_A {
+                    a[kk * m + i]
+                } else {
+                    a[i * kdim + kk]
+                };
+                acc += av * b[kk * n + j];
+            }
+            c[i * n + j] = acc;
+        }
     }
 }
 
@@ -248,125 +300,38 @@ impl Matrix {
         );
         let (m, kdim, n) = (self.rows, self.cols, other.cols);
         out.resize_buf_overwrite(m, n);
-        let (a, b, c) = (&self.data, &other.data, &mut out.data);
-        let n_tiled = n - n % TILE_COLS;
-        let mut i = 0;
-        while i + TILE_ROWS <= m {
-            for j in (0..n_tiled).step_by(TILE_COLS) {
-                gemm_tile::<TILE_ROWS>(a, b, c, kdim, n, i, j);
-            }
-            i += TILE_ROWS;
-        }
-        while i < m {
-            for j in (0..n_tiled).step_by(TILE_COLS) {
-                gemm_tile::<1>(a, b, c, kdim, n, i, j);
-            }
-            i += 1;
-        }
-        for i in 0..m {
-            let ar = &a[i * kdim..(i + 1) * kdim];
-            for j in n_tiled..n {
-                let mut acc = 0.0f32;
-                for (kk, &av) in ar.iter().enumerate() {
-                    acc += av * b[kk * n + j];
-                }
-                c[i * n + j] = acc;
-            }
-        }
+        gemm::<false>(&self.data, &other.data, &mut out.data, m, kdim, n);
     }
 
-    /// `out = self × otherᵀ` without materializing the transpose,
-    /// allocation-free when `out` has capacity.
-    ///
-    /// Four dot products run as independent accumulation chains (each still
-    /// sequential over `k`), hiding FMA latency while staying bit-identical
-    /// to [`Matrix::matmul_nt_naive`].
+    /// `out = self × otherᵀ`, allocation-free in `out` when it has capacity:
+    /// `other` is transposed into a temporary and multiplied by
+    /// [`Matrix::matmul_into`], so every element is the same `k`-ordered
+    /// sum as [`Matrix::matmul_nt_naive`].
     pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt {}x{} × ({}x{})ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, n) = (self.rows, other.rows);
-        out.resize_buf_overwrite(m, n);
-        for i in 0..m {
-            let ar = self.row(i);
-            let cr = &mut out.data[i * n..(i + 1) * n];
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = other.row(j);
-                let b1 = other.row(j + 1);
-                let b2 = other.row(j + 2);
-                let b3 = other.row(j + 3);
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (kk, &av) in ar.iter().enumerate() {
-                    s0 += av * b0[kk];
-                    s1 += av * b1[kk];
-                    s2 += av * b2[kk];
-                    s3 += av * b3[kk];
-                }
-                cr[j] = s0;
-                cr[j + 1] = s1;
-                cr[j + 2] = s2;
-                cr[j + 3] = s3;
-                j += 4;
-            }
-            while j < n {
-                let br = other.row(j);
-                let mut acc = 0.0f32;
-                for (&av, &bv) in ar.iter().zip(br) {
-                    acc += av * bv;
-                }
-                cr[j] = acc;
-                j += 1;
-            }
-        }
+        self.matmul_into(&other.transpose(), out);
     }
 
     /// `out = selfᵀ × other` without materializing the transpose,
     /// allocation-free when `out` has capacity.
     ///
-    /// Four rank-1 updates are fused per pass over the output (left-to-right,
-    /// preserving the per-element `k` accumulation order of
-    /// [`Matrix::matmul_tn_naive`] bit-for-bit).
+    /// The same 4×8 register tile as [`Matrix::matmul_into`]: for each `k`,
+    /// the tile's four `selfᵀ` rows are four contiguous entries of `self`'s
+    /// row `k`. Every element is `0.0 + a₀b₀ + a₁b₁ + …` in `k` order,
+    /// bit-identical to [`Matrix::matmul_tn_naive`].
     pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn ({}x{})ᵀ × {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (r, m, n) = (self.rows, self.cols, other.cols);
-        out.resize_buf(m, n);
-        let mut kk = 0;
-        while kk + 4 <= r {
-            let a0 = self.row(kk);
-            let a1 = self.row(kk + 1);
-            let a2 = self.row(kk + 2);
-            let a3 = self.row(kk + 3);
-            let b0 = other.row(kk);
-            let b1 = other.row(kk + 1);
-            let b2 = other.row(kk + 2);
-            let b3 = other.row(kk + 3);
-            for i in 0..m {
-                let (x0, x1, x2, x3) = (a0[i], a1[i], a2[i], a3[i]);
-                let cr = &mut out.data[i * n..(i + 1) * n];
-                for (j, o) in cr.iter_mut().enumerate() {
-                    *o = *o + x0 * b0[j] + x1 * b1[j] + x2 * b2[j] + x3 * b3[j];
-                }
-            }
-            kk += 4;
-        }
-        while kk < r {
-            let ar = self.row(kk);
-            let br = other.row(kk);
-            for (i, &av) in ar.iter().enumerate() {
-                let cr = &mut out.data[i * n..(i + 1) * n];
-                for (o, &bv) in cr.iter_mut().zip(br) {
-                    *o += av * bv;
-                }
-            }
-            kk += 1;
-        }
+        let (kdim, m, n) = (self.rows, self.cols, other.cols);
+        out.resize_buf_overwrite(m, n);
+        gemm::<true>(&self.data, &other.data, &mut out.data, m, kdim, n);
     }
 
     /// Copies column block `off..off+width` of rows `lo..hi` into `out`

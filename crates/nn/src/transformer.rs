@@ -224,9 +224,6 @@ impl Transformer {
         x: NodeId,
         mask: Option<NodeId>,
     ) -> NodeId {
-        let d = self.config.d_model;
-        let heads = self.config.n_heads;
-        let hd = d / heads;
         // ---- attention sub-block (pre-norm) ----
         let ln = g.layer_norm_rows(x);
         let g1 = g.param(store, layer.ln1_gain);
@@ -239,21 +236,7 @@ impl Transformer {
         let q = g.matmul(ln, wq);
         let k = g.matmul(ln, wk);
         let v = g.matmul(ln, wv);
-        let mut head_outs = Vec::with_capacity(heads);
-        for h in 0..heads {
-            let qh = g.slice_cols(q, h * hd, hd);
-            let kh = g.slice_cols(k, h * hd, hd);
-            let vh = g.slice_cols(v, h * hd, hd);
-            let scores = g.matmul_nt(qh, kh);
-            let scaled = g.scale(scores, 1.0 / (hd as f32).sqrt());
-            let masked = match mask {
-                Some(m) => g.add(scaled, m),
-                None => scaled,
-            };
-            let attn = g.softmax_rows(masked);
-            head_outs.push(g.matmul(attn, vh));
-        }
-        let cat = g.concat_cols(&head_outs);
+        let cat = g.attention(q, k, v, mask, self.config.n_heads);
         let wo = g.param(store, layer.wo);
         let proj = g.matmul(cat, wo);
         let x = g.add(x, proj);

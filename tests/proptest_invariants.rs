@@ -254,28 +254,37 @@ proptest! {
         m in 0usize..40, k in 0usize..40, n in 0usize..40, seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x711e);
-        let mut entry = || match rng.gen_range(0u32..400) {
-            0..=19 => 0.0,
-            20..=39 => -0.0,
-            40 => f32::INFINITY,
-            41 => f32::NEG_INFINITY,
-            42 => f32::NAN,
-            43..=52 => f32::MIN_POSITIVE * rng.gen_range(-0.99f32..0.99),
-            _ => rng.gen_range(-3.0f32..3.0),
-        };
-        let a = Matrix::from_vec(m, k, (0..m * k).map(|_| entry()).collect());
-        let b = Matrix::from_vec(k, n, (0..k * n).map(|_| entry()).collect());
+        let a = special_matrix(m, k, &mut rng);
+        let b = special_matrix(k, n, &mut rng);
         let mut out = Matrix::from_fn(n + 3, m + 1, |_, _| f32::NAN);
         a.matmul_into(&b, &mut out);
         let oracle = a.matmul_naive(&b);
         prop_assert_eq!(out.shape(), (m, n));
-        let bits = |x: &Matrix| {
-            x.data()
-                .iter()
-                .map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() })
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(bits(&out), bits(&oracle));
+        prop_assert_eq!(nan_class_bits(&out), nan_class_bits(&oracle));
+    }
+
+    /// The same property for the transposed kernels: the register-tiled
+    /// `matmul_tn_into` (`Aᵀ·B`) and `matmul_nt_into` (`A·Bᵀ`, a transpose
+    /// then `matmul_into`) equal their plain triple-loop oracles bit for
+    /// bit, NaN compared as a class, on shapes hitting every `% 4` and
+    /// `% 8` tail and `k = 0`, written into a stale, wrongly shaped output.
+    #[test]
+    fn tiled_transposed_matmuls_are_bit_identical_to_the_plain_oracles(
+        m in 0usize..40, k in 0usize..40, n in 0usize..40, seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7a75);
+        let at = special_matrix(k, m, &mut rng);
+        let b = special_matrix(k, n, &mut rng);
+        let mut out = Matrix::from_fn(n + 5, m + 2, |_, _| f32::NAN);
+        at.matmul_tn_into(&b, &mut out);
+        prop_assert_eq!(out.shape(), (m, n));
+        prop_assert_eq!(nan_class_bits(&out), nan_class_bits(&at.matmul_tn_naive(&b)), "tn");
+        let a = special_matrix(m, k, &mut rng);
+        let bt = special_matrix(n, k, &mut rng);
+        let mut out = Matrix::from_fn(m + 1, n + 7, |_, _| -0.0);
+        a.matmul_nt_into(&bt, &mut out);
+        prop_assert_eq!(out.shape(), (m, n));
+        prop_assert_eq!(nan_class_bits(&out), nan_class_bits(&a.matmul_nt_naive(&bt)), "nt");
     }
 
     /// The one encoder inference kernel against the independent row-loop
@@ -358,6 +367,63 @@ proptest! {
             let (fs, fp) = forward(&t, &store, tokens, None, &mut scratch);
             prop_assert_eq!(bits(&seq.data()[s * n * d..(s + 1) * n * d]), bits(fs.data()), "packed seq {}", s);
             prop_assert_eq!(bits(pooled.row(s)), bits(fp.data()), "packed pooled {}", s);
+        }
+    }
+
+    /// The fused tape attention node against the per-head chain it
+    /// replaced, built from public `Graph` ops only ([`unfused_encode`]):
+    /// for 1, 2 and 4 heads, 2 layers, lengths 1 to `max_len + 8` (so `n < 8`,
+    /// `n % 8 ≠ 0` and truncation all occur), with and without a random
+    /// additive mask that fully masks at least one row, the encoder output,
+    /// the loss and every parameter gradient are equal bit for bit.
+    #[test]
+    fn fused_tape_attention_is_bit_identical_to_the_per_head_chain(
+        len in 1usize..41, seed in 0u64..1000,
+    ) {
+        use llmulator_nn::{Graph, ParamStore, Transformer, TransformerConfig};
+        let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for heads in [1usize, 2, 4] {
+            let cfg = TransformerConfig { n_heads: heads, n_layers: 2, ..TransformerConfig::tiny(64) };
+            let mut store = ParamStore::new();
+            let t = Transformer::new(cfg, &mut store, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xa77f);
+            let head = store.add("head", Matrix::randn(cfg.d_model, 5, 0.5, &mut rng));
+            let n = cfg.effective_len(len);
+            let blocked_row = rng.gen_range(0..n);
+            let mask = Matrix::from_vec(
+                n,
+                n,
+                (0..n * n)
+                    .map(|at| if at / n == blocked_row || rng.gen_bool(0.3) { -1e9 } else { 0.0 })
+                    .collect(),
+            );
+            let tokens: Vec<u32> = (0..len).map(|_| rng.gen_range(0u32..64)).collect();
+            let target = rng.gen_range(0..5);
+            for m in [None, Some(&mask)] {
+                let mut runs = Vec::new();
+                for fused in [true, false] {
+                    let mut g = Graph::new();
+                    let (seq, pooled) = if fused {
+                        let out = t.encode(&mut g, &store, &tokens, m);
+                        (out.seq, out.pooled)
+                    } else {
+                        unfused_encode(&mut g, &store, cfg, &tokens, m)
+                    };
+                    let h = g.param(&store, head);
+                    let logits = g.matmul(pooled, h);
+                    let loss = g.cross_entropy(logits, &[target]);
+                    g.backward(loss);
+                    let mut grads = g.param_grads(&store);
+                    grads.sort_by_key(|(pid, _)| store.name(*pid).to_string());
+                    let grads: Vec<_> = grads.iter().map(|(pid, gm)| (store.name(*pid).to_string(), bits(gm))).collect();
+                    runs.push((bits(g.value(seq)), bits(g.value(loss)), grads));
+                }
+                let (fused, chain) = (&runs[0], &runs[1]);
+                prop_assert_eq!(&fused.0, &chain.0, "seq, heads={} mask={}", heads, m.is_some());
+                prop_assert_eq!(&fused.1, &chain.1, "loss, heads={} mask={}", heads, m.is_some());
+                prop_assert_eq!(fused.2.len(), store.len(), "every parameter has a gradient");
+                prop_assert_eq!(&fused.2, &chain.2, "param grads, heads={} mask={}", heads, m.is_some());
+            }
         }
     }
 
@@ -549,7 +615,7 @@ proptest! {
 }
 
 // Latency-histogram properties backing the serve transport's percentile
-// reporting (`stats` responses, shutdown summaries, BENCH_serve.json): the
+// reporting (`stats` responses, shutdown summaries, load-runner reports): the
 // estimate brackets the exact nearest-rank percentile, merging is exact,
 // and the summary is consistent with direct percentile queries.
 proptest! {
@@ -631,7 +697,7 @@ proptest! {
 
     /// Merging is exact: associative, commutative, with the empty
     /// histogram as identity — so per-worker histograms can combine in any
-    /// order and `BENCH_serve.json`'s aggregates don't depend on worker
+    /// order and the `stats` aggregates don't depend on worker
     /// scheduling.
     #[test]
     fn latency_histogram_merge_is_associative_commutative_with_identity(
@@ -696,6 +762,123 @@ fn non_finite_pooled_rows_decode_to_all_zero_digits() {
             assert_eq!(beam_search(&mp.distribution, 4)[0].digits, mp.digits);
         }
     }
+}
+
+/// The tape encoder of `llmulator_nn::Transformer::encode` with attention
+/// written as the per-head chain `slice_cols → matmul_nt → scale →
+/// add(mask) → softmax_rows → matmul → concat_cols`, using only public
+/// `Graph` ops and parameters looked up by name. Returns `(seq, pooled)`.
+fn unfused_encode(
+    g: &mut llmulator_nn::Graph,
+    store: &llmulator_nn::ParamStore,
+    cfg: llmulator_nn::TransformerConfig,
+    tokens: &[u32],
+    mask: Option<&Matrix>,
+) -> (llmulator_nn::NodeId, llmulator_nn::NodeId) {
+    let param = |g: &mut llmulator_nn::Graph, name: &str| {
+        let (pid, _) = store
+            .iter()
+            .find(|(pid, _)| store.name(*pid) == name)
+            .expect("parameter exists");
+        g.param(store, pid)
+    };
+    let n = tokens.len().min(cfg.max_len).max(1);
+    let ids: Vec<usize> = tokens
+        .iter()
+        .take(n)
+        .map(|&tok| (tok as usize).min(cfg.vocab_size - 1))
+        .collect();
+    let pos: Vec<usize> = (0..ids.len()).collect();
+    let tok_table = param(g, "tok_embed");
+    let pos_table = param(g, "pos_embed");
+    let te = g.gather(tok_table, &ids);
+    let pe = g.gather(pos_table, &pos);
+    let mut x = g.add(te, pe);
+    let mask = mask.map(|m| g.input(m.clone()));
+    let hd = cfg.d_model / cfg.n_heads;
+    for l in 0..cfg.n_layers {
+        let p = |g: &mut llmulator_nn::Graph, name: &str| param(g, &format!("layer{l}.{name}"));
+        let ln = g.layer_norm_rows(x);
+        let gain = p(g, "ln1_gain");
+        let bias = p(g, "ln1_bias");
+        let ln = g.mul_row(ln, gain);
+        let ln = g.add_row(ln, bias);
+        let (wq, wk, wv) = (p(g, "wq"), p(g, "wk"), p(g, "wv"));
+        let q = g.matmul(ln, wq);
+        let k = g.matmul(ln, wk);
+        let v = g.matmul(ln, wv);
+        let mut head_outs = Vec::new();
+        for h in 0..cfg.n_heads {
+            let qh = g.slice_cols(q, h * hd, hd);
+            let kh = g.slice_cols(k, h * hd, hd);
+            let vh = g.slice_cols(v, h * hd, hd);
+            let scores = g.matmul_nt(qh, kh);
+            let scaled = g.scale(scores, 1.0 / (hd as f32).sqrt());
+            let masked = match mask {
+                Some(m) => g.add(scaled, m),
+                None => scaled,
+            };
+            let attn = g.softmax_rows(masked);
+            head_outs.push(g.matmul(attn, vh));
+        }
+        let cat = g.concat_cols(&head_outs);
+        let wo = p(g, "wo");
+        let proj = g.matmul(cat, wo);
+        let mid = g.add(x, proj);
+        let ln = g.layer_norm_rows(mid);
+        let gain = p(g, "ln2_gain");
+        let bias = p(g, "ln2_bias");
+        let ln = g.mul_row(ln, gain);
+        let ln = g.add_row(ln, bias);
+        let (w1, b1) = (p(g, "w1"), p(g, "b1"));
+        let hidden = g.matmul(ln, w1);
+        let hidden = g.add_row(hidden, b1);
+        let hidden = g.relu(hidden);
+        let (w2, b2) = (p(g, "w2"), p(g, "b2"));
+        let ffn = g.matmul(hidden, w2);
+        let ffn = g.add_row(ffn, b2);
+        x = g.add(mid, ffn);
+    }
+    let ln = g.layer_norm_rows(x);
+    let gain = param(g, "final_gain");
+    let bias = param(g, "final_bias");
+    let scaled = g.mul_row(ln, gain);
+    let seq = g.add_row(scaled, bias);
+    let pooled = g.mean_rows(seq);
+    (seq, pooled)
+}
+
+/// An `rows × cols` matrix whose entries mix finite normals with `±0.0`,
+/// `±inf`, NaN and subnormals.
+fn special_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+    let data = (0..rows * cols)
+        .map(|_| match rng.gen_range(0u32..400) {
+            0..=19 => 0.0,
+            20..=39 => -0.0,
+            40 => f32::INFINITY,
+            41 => f32::NEG_INFINITY,
+            42 => f32::NAN,
+            43..=52 => f32::MIN_POSITIVE * rng.gen_range(-0.99f32..0.99),
+            _ => rng.gen_range(-3.0f32..3.0),
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// Entry bit patterns with every NaN mapped to one canonical NaN: Rust
+/// leaves the sign and payload of a NaN that arithmetic produces
+/// unspecified, so NaN compares as a class and everything else by bits.
+fn nan_class_bits(x: &Matrix) -> Vec<u32> {
+    x.data()
+        .iter()
+        .map(|v| {
+            if v.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        })
+        .collect()
 }
 
 fn static_loop_program(n: usize) -> Program {
