@@ -195,7 +195,8 @@ fn run_sim_bench(quick: bool, out_path: &str) {
     json.push_str("{\n");
     let _ = writeln!(
         json,
-        "  \"meta\": {{ \"quick\": {quick}, \"reps\": {reps} }},"
+        "  \"meta\": {{ \"quick\": {quick}, \"available_parallelism\": {}, \"reps\": {reps} }},",
+        llmulator_nn::available_threads()
     );
     json.push_str("  \"suites\": [\n");
     for (si, (name, items)) in suites.iter().enumerate() {

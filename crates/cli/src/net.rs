@@ -26,7 +26,7 @@
 //! its answers.
 
 use crate::serve::{Dispatcher, ResponseTx, ServeSummary, TransportStats};
-use llmulator::{Error, PoolConfig, ServePool};
+use llmulator::{Error, MemoStats, PoolConfig, ServePool};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -160,6 +160,7 @@ pub(crate) fn run_tcp(
         direct_errors: direct_errors.load(Ordering::Relaxed),
         slow_client_disconnects: transport.slow_client_disconnects.load(Ordering::Relaxed),
         calibration: None,
+        memo: MemoStats::default(),
     })
 }
 

@@ -60,7 +60,7 @@
 
 use llmulator::{
     AbRouter, CalibrationConfig, CalibrationStats, Calibrator, CalibratorCore, Engine,
-    EngineConfig, Error, FaultPlan, Feedback, NumericPredictor, PoolConfig, PoolStats,
+    EngineConfig, Error, FaultPlan, Feedback, MemoStats, NumericPredictor, PoolConfig, PoolStats,
     PredictRequest, PredictResponse, ServeJob, ServePool,
 };
 use llmulator_sim::Metric;
@@ -115,6 +115,9 @@ pub(crate) struct ServeSummary {
     /// Online-calibration counters, when `--calibrate` was active (filled
     /// in after the background calibrator has drained and checkpointed).
     pub(crate) calibration: Option<CalibrationStats>,
+    /// The workers' prediction-memo hits and misses (filled in once the
+    /// transport has drained).
+    pub(crate) memo: MemoStats,
 }
 
 impl ServeSummary {
@@ -138,7 +141,7 @@ impl ServeSummary {
         format!(
             "serve: {} request(s) answered, {} error response(s), {} shed, {} deadline-shed; \
              {} panic(s) contained, {} worker(s) respawned, {} slow client(s) disconnected; \
-             {latency}{calibration}; bye",
+             {latency}{calibration}; memo {} hit(s), {} miss(es); bye",
             self.stats.served,
             errors,
             self.stats.shed,
@@ -146,6 +149,8 @@ impl ServeSummary {
             self.stats.panics_contained,
             self.stats.workers_respawned,
             self.slow_client_disconnects,
+            self.memo.hits,
+            self.memo.misses,
         )
     }
 }
@@ -252,6 +257,7 @@ fn serve(args: &[String]) -> Result<ServeSummary, Error> {
     });
     summary.map(|mut s| {
         s.calibration = calibration;
+        s.memo = engine.memo_stats();
         s
     })
 }
@@ -342,6 +348,7 @@ fn serve_stdin(pool: ServePool) -> ServeSummary {
         // Stdout carries no write timeout, so this stays 0 in practice.
         slow_client_disconnects: transport.slow_client_disconnects.load(Ordering::Relaxed),
         calibration: None,
+        memo: MemoStats::default(),
     }
 }
 
@@ -687,6 +694,7 @@ fn stats_response(
         })
         .collect();
     let c = engine.calibration_stats();
+    let memo = engine.memo_stats();
     serde_json::json!({
         "id": id.clone(),
         "ok": true,
@@ -701,6 +709,8 @@ fn stats_response(
             "queue_depth": stats.depth,
             "latency_us": latency,
             "swap_epoch": engine.swap_epoch(),
+            "memo_hits": memo.hits,
+            "memo_misses": memo.misses,
             "models": Value::Array(models),
             "calibration": {
                 "updates": c.updates,
@@ -1104,10 +1114,28 @@ mod tests {
         assert!(text.contains("\"latency_us\":null"), "{text}");
         assert!(text.contains("\"served\":0"), "{text}");
         assert!(text.contains("\"calibration\":"), "{text}");
+        assert!(text.contains("\"memo_hits\":0"), "{text}");
+        assert!(text.contains("\"memo_misses\":0"), "{text}");
         assert!(
             text.contains("\"models\":[]"),
             "no models registered: {text}"
         );
+
+        // The same sequence twice on one session: one miss, then one hit.
+        engine.register_predictor(
+            "default",
+            NumericPredictor::new(llmulator::PredictorConfig {
+                scale: llmulator::ModelScale::Small,
+                max_len: 16,
+                ..llmulator::PredictorConfig::default()
+            }),
+        );
+        let mut session = engine.session();
+        for _ in 0..2 {
+            session
+                .predict(&PredictRequest::tokens(vec![1, 2, 3]))
+                .expect("serves");
+        }
 
         let mut h = llmulator::LatencyHistogram::new();
         h.record_micros(100);
@@ -1135,6 +1163,8 @@ mod tests {
             "\"workers_respawned\":7",
             "\"slow_client_disconnects\":8",
             "\"queue_depth\":4",
+            "\"memo_hits\":1",
+            "\"memo_misses\":1",
             "\"count\":2",
             "\"p50\":",
             "\"p99\":",

@@ -359,6 +359,38 @@ fn stats_request_reports_served_and_latency() {
     daemon.shutdown_and_wait();
 }
 
+/// A repeated request is answered from the worker session's prediction
+/// memo: the same `predictions` bytes, counted as a hit in `{"stats":
+/// true}` and in the shutdown summary.
+#[test]
+fn repeated_request_is_a_memo_hit_with_identical_predictions() {
+    let daemon = Daemon::spawn(&["--workers", "1"]);
+    let mut conn = daemon.connect();
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut predictions = Vec::new();
+    for _ in 0..2 {
+        conn.write_all((request_line(3, 5) + "\n").as_bytes())
+            .expect("send");
+        let reply = read_lines(&mut reader, 1).remove(0);
+        let at = reply
+            .find("\"predictions\":")
+            .unwrap_or_else(|| panic!("no predictions: {reply}"));
+        predictions.push(reply[at..].to_string());
+    }
+    assert_eq!(
+        predictions[0], predictions[1],
+        "a hit replies the same bytes"
+    );
+    conn.write_all(b"{\"id\": \"s\", \"stats\": true}\n")
+        .expect("stats sent");
+    let stats = read_lines(&mut reader, 1).remove(0);
+    assert_eq!(extract_u64(&stats, "memo_hits"), 1, "{stats}");
+    assert_eq!(extract_u64(&stats, "memo_misses"), 1, "{stats}");
+    let summary = daemon.shutdown_and_wait();
+    assert_eq!(summary_count(&summary, "hit(s)"), 1, "{summary}");
+    assert_eq!(summary_count(&summary, "miss(es)"), 1, "{summary}");
+}
+
 /// A queue saturated past `--max-queue` sheds with structured `overloaded`
 /// errors — every request is answered (no hangs, no losses), in order, at
 /// 1/2/4 workers.

@@ -11,7 +11,9 @@
 //!   ([`EngineConfig`], builder-style);
 //! * a [`Session`] holds the per-client mutable state — a [`Scratch`]
 //!   arena reused across requests so a steady-state encoder pass allocates
-//!   nothing per call;
+//!   nothing per call, and a small prediction memo keyed on
+//!   `(swap epoch, token sequence)` so a repeated request skips the
+//!   encoder forward and decode;
 //! * typed [`PredictRequest`] / [`PredictResponse`] messages carry program
 //!   source or pre-tokenized input, a metric subset, a thread-count
 //!   override, and optional profiler feedback. Digits decode greedily
@@ -19,13 +21,14 @@
 //!   a decode width.
 //!
 //! Every request takes one path: [`Session::predict_micro_batch`] resolves,
-//! validates and records feedback for each request, then packs the inputs
-//! of all requests sharing a predictor version into one
+//! validates and records feedback for each request, answers the sequences
+//! the session's memo holds, then packs the remaining inputs of all
+//! requests sharing a predictor version into one
 //! fused [`NumericPredictor::predict_tokens_batch_threads`] call (a group
 //! of exactly one sequence runs through the session's scratch arena
 //! instead, bit-identical to the fused path). [`Session::predict`] is that
 //! path with a batch of one, so an engine answer is exactly equal to
-//! calling the predictor directly, alone or micro-batched.
+//! calling the predictor directly, alone or micro-batched, memoized or not.
 
 use crate::calibrate::PreferenceTriple;
 use crate::dataset::{CostModel, Sample};
@@ -40,6 +43,7 @@ use crate::sync::unpoisoned;
 use llmulator_ir::{parse, InputData, Program};
 use llmulator_nn::Scratch;
 use llmulator_sim::{CostVector, Metric};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -212,6 +216,8 @@ pub struct Engine {
     feedback: FeedbackQueue,
     scores: Scoreboard,
     calibration: CalibrationCounters,
+    memo_hits: AtomicU64,
+    memo_misses: AtomicU64,
 }
 
 impl std::fmt::Debug for Engine {
@@ -237,6 +243,8 @@ impl Engine {
             feedback,
             scores,
             calibration: CalibrationCounters::default(),
+            memo_hits: AtomicU64::new(0),
+            memo_misses: AtomicU64::new(0),
         }
     }
 
@@ -424,14 +432,33 @@ impl Engine {
         }
     }
 
+    /// Prediction-memo lookups summed over every session of this engine:
+    /// one per predictor input sequence.
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.memo_hits.load(Ordering::Relaxed),
+            misses: self.memo_misses.load(Ordering::Relaxed),
+        }
+    }
+
     /// Opens a serving session against this engine.
     pub fn session(&self) -> Session<'_> {
         Session {
             engine: self,
             scratch: Scratch::new(),
+            memo: HashMap::new(),
             served: 0,
         }
     }
+}
+
+/// Lifetime counters of the sessions' prediction memos (see [`Session`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Input sequences answered from a memo.
+    pub hits: u64,
+    /// Input sequences that ran the encoder forward and decode.
+    pub misses: u64,
 }
 
 /// One prediction input.
@@ -614,12 +641,28 @@ pub struct PredictResponse {
     pub items: Vec<ItemPrediction>,
 }
 
-/// Per-client serving state: reusable scratch arenas. Sessions are cheap;
-/// open one per connection/worker.
+/// Entries a session's prediction memo holds. A full memo is cleared
+/// before the next insert: entries of swapped-out epochs can never hit
+/// again, and clearing drops them without any per-entry bookkeeping.
+const MEMO_CAPACITY: usize = 64;
+
+/// Per-client serving state: a reusable scratch arena and a prediction
+/// memo. Sessions are cheap; open one per connection/worker.
+///
+/// The memo maps `(epoch, tokens)` to that sequence's prediction for all
+/// four metrics, where `epoch` is the swap epoch of the model version the
+/// request resolved to ([`Resolved::epoch`]). Forward plus decode is a
+/// pure function of the weights and the tokens, a registered version never
+/// changes in place, and every (re)registration takes a fresh epoch, so a
+/// hit is bit-identical to recomputing and can never serve a swapped-out
+/// model. It holds at most 64 entries (`MEMO_CAPACITY`) and stores the
+/// per-metric value, digits and confidences, not the digit distributions.
+/// Being per session, it needs no lock.
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e Engine,
     scratch: Scratch,
+    memo: HashMap<(u64, Vec<u32>), ItemPrediction>,
     served: usize,
 }
 
@@ -660,15 +703,18 @@ impl<'e> Session<'e> {
     ///
     /// Each request is resolved and validated on its own, so one that
     /// fails gets its own `Err` slot without poisoning the batch, and its
-    /// feedback is recorded only once it validates. Baseline requests are
-    /// answered directly. All inputs of the remaining requests that share a
-    /// predictor version are packed into **one**
+    /// feedback is recorded only once it validates (memo hits included).
+    /// Baseline requests are answered directly. Each token sequence of the
+    /// remaining requests is then looked up in the session's memo under
+    /// the epoch its request resolved to (see [`Session`]); a request whose
+    /// sequences all hit runs no forward. The misses of all requests that
+    /// share a predictor version are packed into **one**
     /// [`NumericPredictor::predict_tokens_batch_threads`] call (one fused
-    /// GEMM per layer per length group) and split back per request; a
-    /// group of exactly one sequence runs through the session's scratch
-    /// arena instead (bit-identical, allocation-free in steady state).
-    /// Responses keep request order, and each equals the response the
-    /// request would get in a batch of its own.
+    /// GEMM per layer per length group), memoized and split back per
+    /// request; a group of exactly one miss runs through the session's
+    /// scratch arena instead (bit-identical, allocation-free in steady
+    /// state). Responses keep request order, and each equals the response
+    /// the request would get in a batch of its own on a fresh session.
     pub fn predict_micro_batch(
         &mut self,
         requests: &[PredictRequest],
@@ -708,45 +754,79 @@ impl<'e> Session<'e> {
             }
         }
 
-        // Fuse plans sharing a predictor version: one packed batch per
-        // group, then split the predictions back in request order.
+        // Fuse plans sharing a predictor version (and so an epoch): look
+        // every sequence up in the memo, run one packed batch over the
+        // misses, memoize them, then split the items back in request order.
+        let (mut hits, mut misses) = (0, 0);
         let mut remaining = plans;
         while let Some(first) = remaining.first() {
-            let predictor = first.predictor;
+            let (predictor, epoch) = (first.predictor, first.epoch);
             let (mut group, rest): (Vec<Plan>, Vec<Plan>) = remaining
                 .into_iter()
                 .partition(|p| std::ptr::eq(p.predictor, predictor));
             remaining = rest;
             let threads = group.iter().map(|p| p.threads).max().unwrap_or(1);
-            let seqs: Vec<Vec<u32>> = group
-                .iter_mut()
-                .flat_map(|p| std::mem::take(&mut p.seqs))
-                .collect();
-            let preds = if let [tokens] = seqs.as_slice() {
-                let (seq, pooled) = llmulator_nn::forward(
-                    predictor.encoder(),
-                    predictor.store(),
-                    tokens,
-                    None,
-                    &mut self.scratch,
-                );
-                let preds = predictor.decode_pooled_rows(&pooled);
-                self.scratch.recycle(seq);
-                self.scratch.recycle(pooled);
-                preds
-            } else {
-                predictor.predict_tokens_batch_threads(&seqs, threads)
+            // One slot per sequence: its memoized item, or `None` for a
+            // miss, whose tokens join `todo` in the same order.
+            let mut items: Vec<Option<ItemPrediction>> = Vec::new();
+            let mut todo: Vec<Vec<u32>> = Vec::new();
+            for seq in group.iter_mut().flat_map(|p| std::mem::take(&mut p.seqs)) {
+                let key = (epoch, seq);
+                let item = self.memo.get(&key).cloned();
+                if item.is_none() {
+                    todo.push(key.1);
+                }
+                items.push(item);
+            }
+            hits += items.len() - todo.len();
+            misses += todo.len();
+            let preds = match todo.as_slice() {
+                [] => Vec::new(),
+                [tokens] => {
+                    let (seq, pooled) = llmulator_nn::forward(
+                        predictor.encoder(),
+                        predictor.store(),
+                        tokens,
+                        None,
+                        &mut self.scratch,
+                    );
+                    let preds = predictor.decode_pooled_rows(&pooled);
+                    self.scratch.recycle(seq);
+                    self.scratch.recycle(pooled);
+                    preds
+                }
+                _ => predictor.predict_tokens_batch_threads(&todo, threads),
             };
-            let mut preds = preds.iter();
+            let mut fresh = Vec::with_capacity(todo.len());
+            for (tokens, pred) in todo.into_iter().zip(&preds) {
+                let item = item_from_prediction(pred);
+                if self.memo.len() >= MEMO_CAPACITY {
+                    self.memo.clear();
+                }
+                self.memo.insert((epoch, tokens), item.clone());
+                fresh.push(item);
+            }
+            let mut fresh = fresh.into_iter();
+            let mut items = items
+                .into_iter()
+                .flat_map(|item| item.or_else(|| fresh.next()));
             for plan in &group {
                 if let Ok(response) = &mut out[plan.request] {
-                    response.items = preds
+                    response.items = items
                         .by_ref()
                         .take(requests[plan.request].inputs.len())
-                        .map(|p| item_from_prediction(p, &plan.metrics))
+                        .map(|item| project(&item, &plan.metrics))
                         .collect();
                 }
             }
+        }
+        if hits + misses > 0 {
+            self.engine
+                .memo_hits
+                .fetch_add(hits as u64, Ordering::Relaxed);
+            self.engine
+                .memo_misses
+                .fetch_add(misses as u64, Ordering::Relaxed);
         }
         self.served += out.iter().filter(|r| r.is_ok()).count();
         out
@@ -788,6 +868,7 @@ impl<'e> Session<'e> {
         Ok(Some(Plan {
             request: index,
             predictor,
+            epoch: response.epoch,
             seqs,
             metrics,
             threads: request.threads.unwrap_or(ceiling).clamp(1, ceiling),
@@ -831,6 +912,8 @@ struct Plan<'m> {
     request: usize,
     /// The exact model version the request resolved to.
     predictor: &'m NumericPredictor,
+    /// That version's swap epoch: the memo key's scope.
+    epoch: u64,
     /// One token sequence per request input.
     seqs: Vec<Vec<u32>>,
     metrics: Vec<Metric>,
@@ -924,21 +1007,31 @@ fn baseline_samples(inputs: &[PredictInput]) -> Result<Vec<Sample>, Error> {
         .collect()
 }
 
-/// Projects a full digit-level [`Prediction`] onto the requested metrics.
-fn item_from_prediction(pred: &Prediction, metrics: &[Metric]) -> ItemPrediction {
+/// A digit-level [`Prediction`] without its digit distributions: all four
+/// metrics, the form the memo keeps.
+fn item_from_prediction(pred: &Prediction) -> ItemPrediction {
+    ItemPrediction {
+        metrics: pred
+            .per_metric
+            .iter()
+            .map(|mp| MetricValue {
+                metric: mp.metric,
+                value: mp.value,
+                digits: Some(mp.digits.clone()),
+                confidence: Some(mp.confidence),
+                mean_confidence: Some(mp.mean_confidence),
+            })
+            .collect(),
+    }
+}
+
+/// Picks the requested metrics, in request order, out of an item holding
+/// all four.
+fn project(item: &ItemPrediction, metrics: &[Metric]) -> ItemPrediction {
     ItemPrediction {
         metrics: metrics
             .iter()
-            .map(|&m| {
-                let mp = pred.metric(m);
-                MetricValue {
-                    metric: m,
-                    value: mp.value,
-                    digits: Some(mp.digits.clone()),
-                    confidence: Some(mp.confidence),
-                    mean_confidence: Some(mp.mean_confidence),
-                }
-            })
+            .filter_map(|&m| item.metrics.iter().find(|mv| mv.metric == m).cloned())
             .collect(),
     }
 }
@@ -1451,5 +1544,110 @@ mod tests {
                 .collect()
         });
         assert_eq!(results.len(), 3);
+    }
+
+    #[test]
+    fn invalid_requests_and_parse_errors_are_never_memoized() {
+        let engine = engine_with_default();
+        let mut session = engine.session();
+        let bad = [
+            PredictRequest::tokens(vec![1, 2]).metrics(vec![]),
+            PredictRequest::new(),
+            PredictRequest::source("void main( {", Vec::new()),
+            PredictRequest::tokens(vec![1, 2]).for_model("ghost"),
+            PredictRequest::tokens(vec![1, 2]).feedback(Feedback {
+                item: 3,
+                metric: Metric::Cycles,
+                actual: 1.0,
+                predicted: 2.0,
+            }),
+        ];
+        for request in &bad {
+            assert!(session.predict(request).is_err(), "{request:?}");
+        }
+        let results = session.predict_micro_batch(&bad);
+        assert!(results.iter().all(Result::is_err));
+        assert!(session.memo.is_empty(), "nothing memoized");
+        assert_eq!(engine.memo_stats(), MemoStats::default(), "no lookups");
+        // A valid request beside them is the only entry.
+        let mut mixed = bad.to_vec();
+        mixed.push(PredictRequest::tokens(vec![1, 2]));
+        let results = session.predict_micro_batch(&mixed);
+        assert!(results.last().is_some_and(Result::is_ok));
+        assert_eq!(session.memo.len(), 1);
+        assert_eq!(engine.memo_stats(), MemoStats { hits: 0, misses: 1 });
+    }
+
+    #[test]
+    fn feedback_on_a_memo_hit_still_reaches_the_scoreboard_and_queue() {
+        let engine = EngineConfig::new().threads(1).feedback_capacity(8).build();
+        engine.register_predictor("default", tiny_predictor(3));
+        let mut session = engine.session();
+        let plain = session
+            .predict(&PredictRequest::tokens(vec![2, 4, 6]))
+            .expect("serves");
+        let request = PredictRequest::tokens(vec![2, 4, 6]).feedback(Feedback {
+            item: 0,
+            metric: Metric::Cycles,
+            actual: 120.0,
+            predicted: 90.0,
+        });
+        let hit = session.predict(&request).expect("serves");
+        assert_eq!(hit, plain, "a hit answers the same bits");
+        assert_eq!(engine.memo_stats(), MemoStats { hits: 1, misses: 1 });
+        assert_eq!(engine.feedback().accepted(), 1, "queue got the triple");
+        let triples = engine.feedback().drain_now();
+        assert_eq!(triples[0].tokens, vec![2, 4, 6]);
+        let (_, n) = engine
+            .scoreboard()
+            .rolling_error("default")
+            .expect("scored");
+        assert_eq!(n, 1);
+    }
+
+    #[test]
+    fn a_hot_swap_turns_the_next_identical_request_into_a_miss() {
+        let engine = engine_with_default();
+        let mut session = engine.session();
+        let request = PredictRequest::tokens(vec![5, 6, 7]);
+        let first = session.predict(&request).expect("serves");
+        let again = session.predict(&request).expect("serves");
+        assert_eq!(again, first);
+        assert_eq!(engine.memo_stats(), MemoStats { hits: 1, misses: 1 });
+
+        engine.register_predictor("default", tiny_predictor(11));
+        let swapped = session.predict(&request).expect("serves");
+        assert_eq!(engine.memo_stats(), MemoStats { hits: 1, misses: 2 });
+        assert_eq!(swapped.epoch, engine.swap_epoch());
+        assert_ne!(swapped.epoch, first.epoch);
+        let fresh = engine.session().predict(&request).expect("serves");
+        assert_eq!(swapped, fresh, "the new version's answer, not the memo's");
+        assert_ne!(swapped.items, first.items, "the versions disagree");
+    }
+
+    #[test]
+    fn the_memo_never_exceeds_its_bound() {
+        let engine = engine_with_default();
+        let mut session = engine.session();
+        for i in 0..(3 * MEMO_CAPACITY as u32) {
+            // Single requests and multi-input micro-batches, some repeated.
+            let requests: Vec<PredictRequest> = (0..i % 5)
+                .map(|k| PredictRequest::tokens(vec![i, k, i % 7]))
+                .collect();
+            session.predict_micro_batch(&requests);
+            session
+                .predict(&PredictRequest::tokens(vec![i % 9, 1]))
+                .expect("serves");
+            assert!(
+                session.memo.len() <= MEMO_CAPACITY,
+                "{}",
+                session.memo.len()
+            );
+        }
+        let stats = engine.memo_stats();
+        assert!(
+            stats.hits > 0 && stats.misses > MEMO_CAPACITY as u64,
+            "{stats:?}"
+        );
     }
 }

@@ -66,8 +66,8 @@ pub use calibrate::{
 pub use dataset::{CostModel, Dataset, Sample};
 pub use encode::{fusion_group_key, group_by_key, SegmentedText};
 pub use engine::{
-    Engine, EngineConfig, Feedback, ItemPrediction, MetricValue, PredictInput, PredictRequest,
-    PredictResponse, Resolved, ServableModel, Session,
+    Engine, EngineConfig, Feedback, ItemPrediction, MemoStats, MetricValue, PredictInput,
+    PredictRequest, PredictResponse, Resolved, ServableModel, Session,
 };
 pub use error::Error;
 pub use fault::{silence_injected_panics, FaultAction, FaultPlan, FAULT_MARKER};

@@ -776,14 +776,24 @@ impl CompiledProgram<'_> {
                 cycles,
             });
         }
+        // Move each final buffer into the report. `buffer_index` keeps the
+        // later of two same-named declarations, so an earlier duplicate
+        // reads a slot its twin moves out further on: it gets a copy.
+        let mut buffers: Vec<Option<Tensor>> = buffers.into_iter().map(Some).collect();
         let out: Vec<(Ident, Tensor)> = self
             .program
             .graph
             .buffers
             .iter()
-            .map(|decl| {
+            .enumerate()
+            .filter_map(|(i, decl)| {
                 let idx = state.buffer_index[&decl.name];
-                (decl.name.clone(), buffers[idx].clone())
+                let tensor = if idx == i {
+                    buffers[i].take()
+                } else {
+                    buffers[idx].clone()
+                };
+                tensor.map(|t| (decl.name.clone(), t))
             })
             .collect();
         Ok(CycleReport {
@@ -1198,6 +1208,21 @@ mod tests {
         let p = scale_op(16);
         let data = InputData::new().with("buf_a", Tensor::from_fn(vec![16], |i| i as f64));
         assert_identical(&p, &data);
+    }
+
+    #[test]
+    fn duplicate_buffer_names_report_the_later_slot_twice() {
+        // Both same-named declarations read the later one's slot: the
+        // earlier entry is a copy, the later one the moved buffer.
+        let mut p = scale_op(16);
+        let dup = p.graph.buffers[1].clone();
+        p.graph.buffers.insert(0, dup);
+        let data = InputData::new().with("buf_a", Tensor::from_fn(vec![16], |i| i as f64));
+        assert_identical(&p, &data);
+        let report = simulate_compiled(&p, &data).expect("runs");
+        assert_eq!(report.buffers.len(), 3);
+        assert_eq!(report.buffers[0], report.buffers[2]);
+        assert_eq!(report.buffers[2].1.get(3), Some(6.0));
     }
 
     #[test]

@@ -614,6 +614,153 @@ proptest! {
     }
 }
 
+// The session prediction memo against memo-less answers, across hot swaps.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Over a random request stream (repeated and fresh token sequences,
+    /// metric subsets, multi-input requests, feedback, two model names and
+    /// hot swaps at random points), every reply of one long-lived,
+    /// memoizing session equals by bits the reply a fresh session (empty
+    /// memo) gives the same request and the direct predictor's answer for
+    /// each input, and carries the epoch its model name currently has.
+    #[test]
+    fn memoized_session_replies_match_fresh_sessions_across_hot_swaps(seed in 0u64..1000) {
+        use llmulator::{
+            EngineConfig, Feedback, ModelScale, NumericPredictor, PredictInput, PredictRequest,
+            PredictResponse, PredictorConfig,
+        };
+        use llmulator_sim::Metric;
+        use llmulator_token::NumericMode;
+
+        let model = |seed: u64| {
+            NumericPredictor::new(PredictorConfig {
+                scale: ModelScale::Small,
+                codec: DigitCodec::decimal(4),
+                numeric_mode: NumericMode::Digits,
+                max_len: 24,
+                seed,
+            })
+        };
+        type Bits = (Metric, u64, Option<Vec<u8>>, Option<u32>, Option<u32>);
+        fn bits(response: &PredictResponse) -> Vec<Bits> {
+            response
+                .items
+                .iter()
+                .flat_map(|item| &item.metrics)
+                .map(|mv| {
+                    (
+                        mv.metric,
+                        mv.value.to_bits(),
+                        mv.digits.clone(),
+                        mv.confidence.map(f32::to_bits),
+                        mv.mean_confidence.map(f32::to_bits),
+                    )
+                })
+                .collect()
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x3e30);
+        let engine = EngineConfig::new().threads(2).feedback_capacity(16).build();
+        // The version each name currently serves, for the direct oracle.
+        let mut current: Vec<(&str, NumericPredictor)> =
+            vec![("default", model(seed)), ("alt", model(seed ^ 1))];
+        for (name, m) in &current {
+            engine.register_predictor(*name, m.clone());
+        }
+        let random_seq = |rng: &mut StdRng| -> Vec<u32> {
+            let len = rng.gen_range(0usize..32);
+            (0..len).map(|_| rng.gen_range(0u32..2000)).collect()
+        };
+        let pool: Vec<Vec<u32>> = (0..6).map(|_| random_seq(&mut rng)).collect();
+        let mut session = engine.session();
+        for _ in 0..20 {
+            if rng.gen_bool(0.2) {
+                let slot = rng.gen_range(0..current.len());
+                current[slot].1 = model(rng.gen());
+                engine.register_predictor(current[slot].0, current[slot].1.clone());
+            }
+            let batch: Vec<PredictRequest> = (0..rng.gen_range(1usize..5))
+                .map(|_| {
+                    let inputs = rng.gen_range(1usize..4);
+                    let mut request = PredictRequest::new();
+                    for _ in 0..inputs {
+                        let seq = if rng.gen_bool(0.7) {
+                            pool[rng.gen_range(0..pool.len())].clone()
+                        } else {
+                            random_seq(&mut rng)
+                        };
+                        request = request.input(PredictInput::Tokens(seq));
+                    }
+                    if rng.gen_bool(0.3) {
+                        request = request.for_model("alt");
+                    }
+                    if rng.gen_bool(0.5) {
+                        let mut metrics = Metric::all().to_vec();
+                        metrics.retain(|_| rng.gen_bool(0.6));
+                        if metrics.is_empty() {
+                            metrics.push(Metric::Cycles);
+                        }
+                        metrics.reverse();
+                        request = request.metrics(metrics);
+                    }
+                    if rng.gen_bool(0.3) {
+                        request = request.feedback(Feedback {
+                            item: rng.gen_range(0..inputs),
+                            metric: Metric::Cycles,
+                            actual: f64::from(rng.gen_range(1u32..10_000)),
+                            predicted: f64::from(rng.gen_range(1u32..10_000)),
+                        });
+                    }
+                    if rng.gen_bool(0.3) {
+                        request = request.threads(rng.gen_range(1usize..3));
+                    }
+                    request
+                })
+                .collect();
+            let replies = session.predict_micro_batch(&batch);
+            prop_assert_eq!(replies.len(), batch.len());
+            for (request, reply) in batch.iter().zip(replies) {
+                let reply = reply.expect("serves");
+                let resolved = engine.resolve(request.model.as_deref()).expect("registered");
+                prop_assert_eq!(reply.epoch, resolved.epoch, "served by the current version");
+                let fresh = engine
+                    .session()
+                    .predict(&request.without_feedback())
+                    .expect("serves");
+                prop_assert_eq!(&reply.model, &fresh.model);
+                prop_assert_eq!(reply.epoch, fresh.epoch);
+                prop_assert_eq!(bits(&reply), bits(&fresh));
+
+                let predictor = &current.iter().find(|(n, _)| *n == reply.model).expect("named").1;
+                let metrics = request.metrics.clone().unwrap_or_else(|| Metric::all().to_vec());
+                let direct: Vec<Bits> = request
+                    .inputs
+                    .iter()
+                    .flat_map(|input| {
+                        let PredictInput::Tokens(seq) = input else { unreachable!("token inputs") };
+                        let pred = predictor.predict_tokens(seq, None);
+                        metrics
+                            .iter()
+                            .map(|&m| {
+                                let mp = pred.metric(m);
+                                (
+                                    m,
+                                    mp.value.to_bits(),
+                                    Some(mp.digits.clone()),
+                                    Some(mp.confidence.to_bits()),
+                                    Some(mp.mean_confidence.to_bits()),
+                                )
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                prop_assert_eq!(bits(&reply), direct);
+            }
+        }
+        prop_assert!(engine.memo_stats().hits > 0, "{:?}", engine.memo_stats());
+    }
+}
+
 // Latency-histogram properties backing the serve transport's percentile
 // reporting (`stats` responses, shutdown summaries, load-runner reports): the
 // estimate brackets the exact nearest-rank percentile, merging is exact,
