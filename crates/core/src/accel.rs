@@ -7,34 +7,22 @@
 //! unrelated segments — recomputes only the rows whose inputs (transitively)
 //! changed. Unrelated operator × operator regions are masked to zero and the
 //! four "corner" regions are served from cache, exactly the Fig. 6 pattern.
+//! The encoder runs [`llmulator_nn::encode_cached_with`], the inference
+//! kernel's layer body on the changed rows, so a cached prediction equals a
+//! cold one under the same mask bit for bit.
+//!
+//! Limit: the model trains without the separation mask, while this
+//! predictor (and so Tables 5 and 9) infers with it. The tables' latency
+//! columns stand, but the masked predictions are not those of the trained
+//! model and claim no accuracy.
 
 use crate::masks::{separation_mask, MaskOptions};
 use crate::model::{NumericPredictor, Prediction};
 use llmulator_ir::OperatorClass;
-use llmulator_nn::{encode_cached_with, EncoderCache, InferStats, Matrix, Scratch};
+use llmulator_nn::{encode_cached_with, EncoderCache, Matrix, Scratch};
 use llmulator_token::TokenizedProgram;
-use serde::{Deserialize, Serialize};
 
-/// Work statistics for one accelerated prediction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct AccelStats {
-    /// Encoder rows recomputed.
-    pub rows_computed: usize,
-    /// Encoder rows a cold pass would compute.
-    pub rows_total: usize,
-    /// Whether the cache was usable (same token count).
-    pub cache_hit: bool,
-}
-
-impl From<InferStats> for AccelStats {
-    fn from(s: InferStats) -> Self {
-        AccelStats {
-            rows_computed: s.rows_computed,
-            rows_total: s.rows_total,
-            cache_hit: s.rows_computed < s.rows_total,
-        }
-    }
-}
+pub use llmulator_nn::InferStats;
 
 /// A predictor wrapper holding the attention cache between calls.
 #[derive(Debug)]
@@ -79,9 +67,10 @@ impl<'m> CachedPredictor<'m> {
         self.cache = None;
     }
 
-    /// Predicts with block-cached attention. The tokenized program carries
-    /// the segment map the mask is built from.
-    pub fn predict(&mut self, tp: &TokenizedProgram) -> (Prediction, AccelStats) {
+    /// Predicts with block-cached attention, returning the encoder's work
+    /// statistics. The tokenized program carries the segment map the mask
+    /// is built from.
+    pub fn predict(&mut self, tp: &TokenizedProgram) -> (Prediction, InferStats) {
         let n = tp.tokens.len();
         // (Re)build the mask when the token count changes.
         let rebuild = !matches!(&self.mask, Some((len, _)) if *len == n);
@@ -105,11 +94,10 @@ impl<'m> CachedPredictor<'m> {
             &mut self.scratch,
         );
         let prediction = self.model.decode_pooled(&cache.pooled);
-        let accel = AccelStats::from(stats);
         if self.enabled {
             self.cache = Some(cache);
         }
-        (prediction, accel)
+        (prediction, stats)
     }
 }
 
@@ -166,7 +154,7 @@ mod tests {
         let mut cached = CachedPredictor::new(&m, classes, MaskOptions::default());
         let tp1 = tokenized(&m, 11);
         let (_, s1) = cached.predict(&tp1);
-        assert!(!s1.cache_hit);
+        assert_eq!(s1.rows_computed, s1.rows_total);
         // Same-length data change (same digit count).
         let tp2 = tokenized(&m, 22);
         if tp2.tokens.len() == tp1.tokens.len() {

@@ -57,7 +57,7 @@ pub mod persist;
 pub mod serve_pool;
 mod sync;
 
-pub use accel::{AccelStats, CachedPredictor};
+pub use accel::{CachedPredictor, InferStats};
 pub use cache::{content_hash, write_atomic, CacheStats, DatasetCache};
 pub use calibrate::{
     calibrate_cycles, CalibrationStep, CalibrationTrace, DpoCalibrator, DpoConfig,

@@ -469,7 +469,8 @@ impl Graph {
                     kv,
                     vv,
                     mask,
-                    0,
+                    0..n,
+                    0..n,
                     h * hd,
                     hd,
                     scale,

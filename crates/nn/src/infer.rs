@@ -1,31 +1,30 @@
-//! Forward-only encoder inference with block-structured attention caching.
+//! Forward-only encoder inference: one kernel, also run on changed rows.
 //!
-//! This implements the paper's *dynamic prediction acceleration* (Sec. 5.3):
-//! when only one segment of the input (e.g. a single operator, or the `data`
-//! scalars) changes between predictions, attention blocks not touching the
-//! changed tokens are served from cache and only the affected rows are
-//! recomputed. The separation mask (Sec. 5.2) makes this effective: rows
-//! that are masked off from the changed segment keep their outputs.
+//! Every forward pass runs one layer body, `encoder_layer`: pre-norm
+//! `q`/`k`/`v` projections, per-head `attention_head`, `wo` and the
+//! residual, then the feed-forward block. It is built on the blocked
+//! kernels in [`crate::matrix`] and the [`Scratch`] arena, so steady-state
+//! inference allocates nothing. Two entry points run it:
 //!
-//! Two production paths live here, both built on the blocked kernels in
-//! [`crate::matrix`] and the [`Scratch`] arena so steady-state inference
-//! allocates nothing:
-//!
-//! * one encoder inference kernel behind [`forward`] and [`forward_packed`]
-//!   — the hot path behind every prediction, bit-identical to the autodiff
-//!   tape forward in [`Transformer::encode`]. It packs a group of
-//!   same-length sequences into one activation matrix, so each per-layer
-//!   projection runs as a single blocked GEMM for the whole group, while
-//!   attention stays block-diagonal with an optional per-sample mask.
-//!   [`forward`] is a pack of one, and every packed sample is bit-identical
-//!   to [`forward`] on that sample alone. Each head's scores are one GEMM on
-//!   the transposed `k` head block, and the softmax row max is taken over
-//!   eight lanes (see `lane_max` for the `±0`/NaN argument). The per-head
-//!   routine, `attention_head`, is also the forward of the tape's fused
-//!   [`crate::Graph::attention`] node, so training and inference run one
-//!   attention kernel;
-//! * [`encode_cached`] — the incremental path recomputing only rows
-//!   reachable (per mask) from changed tokens.
+//! * [`forward`] and [`forward_packed`] — the hot path behind every
+//!   prediction, bit-identical to the autodiff tape forward in
+//!   [`Transformer::encode`]. It packs a group of same-length sequences
+//!   into one activation matrix, so each per-layer projection runs as a
+//!   single blocked GEMM for the whole group, while attention stays
+//!   block-diagonal with an optional per-sample mask. [`forward`] is a pack
+//!   of one, and every packed sample is bit-identical to [`forward`] on that
+//!   sample alone. Each head's scores are one GEMM on the transposed `k`
+//!   head block, and the softmax row max is taken over eight lanes (see
+//!   `lane_max` for the `±0`/NaN argument). `attention_head` is also the
+//!   forward of the tape's fused [`crate::Graph::attention`] node, so
+//!   training and inference run one attention kernel;
+//! * [`encode_cached`] — the paper's *dynamic prediction acceleration*
+//!   (Sec. 5.3). When one segment of the input (an operator, or the `data`
+//!   scalars) changes between predictions, only the rows that changed, or
+//!   that attend to a changed row under the separation mask (Sec. 5.2), are
+//!   gathered and run through the same layer body; their keys, values and
+//!   outputs are scattered into the cached ones. Every other row keeps its
+//!   cached output, and the result is bit-identical to [`forward`].
 //!
 //! [`encode_naive`] keeps the pre-optimization row loop as the independent
 //! test oracle for the kernel.
@@ -33,7 +32,8 @@
 use crate::graph::ParamStore;
 use crate::matrix::{softmax_slice, Matrix};
 use crate::scratch::Scratch;
-use crate::transformer::{clamp_token, Transformer};
+use crate::transformer::{clamp_token, LayerParams, RawHandles, Transformer, TransformerConfig};
+use std::ops::Range;
 
 /// Threshold below which a mask entry is considered "blocked".
 const MASK_BLOCKED: f32 = -1e8;
@@ -41,7 +41,6 @@ const MASK_BLOCKED: f32 = -1e8;
 /// Cached per-layer state.
 #[derive(Debug, Clone)]
 struct LayerCache {
-    q: Matrix,
     k: Matrix,
     v: Matrix,
     x_out: Matrix,
@@ -51,7 +50,6 @@ struct LayerCache {
 #[derive(Debug, Clone)]
 pub struct EncoderCache {
     tokens: Vec<u32>,
-    x0: Matrix,
     layers: Vec<LayerCache>,
     /// Final per-token representations (`n × d`).
     pub seq: Matrix,
@@ -86,52 +84,37 @@ impl InferStats {
     }
 }
 
-/// `out = row × w` with a 4-way `k` unroll. Per output element the
-/// accumulation still runs over `k` left-to-right, so results are
-/// bit-identical to the naive axpy loop.
-fn row_matmul_into(row: &[f32], w: &Matrix, out: &mut [f32]) {
-    let n = w.cols();
-    debug_assert_eq!(out.len(), n);
-    out.fill(0.0);
-    let mut kk = 0;
-    while kk + 4 <= row.len() {
-        let (a0, a1, a2, a3) = (row[kk], row[kk + 1], row[kk + 2], row[kk + 3]);
-        let w0 = w.row(kk);
-        let w1 = w.row(kk + 1);
-        let w2 = w.row(kk + 2);
-        let w3 = w.row(kk + 3);
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = *o + a0 * w0[j] + a1 * w1[j] + a2 * w2[j] + a3 * w3[j];
-        }
-        kk += 4;
-    }
-    while kk < row.len() {
-        let av = row[kk];
-        let wr = w.row(kk);
-        for (o, &bv) in out.iter_mut().zip(wr) {
-            *o += av * bv;
-        }
-        kk += 1;
-    }
-}
-
-/// `out = layer_norm(row) * gain + bias` (same op order as the tape's
-/// `layer_norm_rows` → `mul_row` → `add_row` chain).
-fn layer_norm_row_into(row: &[f32], gain: &Matrix, bias: &Matrix, out: &mut [f32]) {
-    let n = row.len() as f32;
-    let mean = row.iter().sum::<f32>() / n;
-    let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
-    let inv = 1.0 / (var + 1e-5).sqrt();
-    for (((o, &v), &g), &b) in out.iter_mut().zip(row).zip(gain.row(0)).zip(bias.row(0)) {
-        *o = (v - mean) * inv * g + b;
-    }
-}
-
-/// Row-wise layer norm with learned gain/bias over a whole matrix.
+/// Row-wise `layer_norm(x) * gain + bias` into `out`, reshaped to `x`'s
+/// shape without a zero-fill (every element is written); the same op order
+/// as the tape's `layer_norm_rows` → `mul_row` → `add_row` chain.
 fn layer_norm_into(x: &Matrix, gain: &Matrix, bias: &Matrix, out: &mut Matrix) {
-    debug_assert_eq!(x.shape(), out.shape());
+    out.resize_buf_overwrite(x.rows(), x.cols());
     for i in 0..x.rows() {
-        layer_norm_row_into(x.row(i), gain, bias, out.row_mut(i));
+        let row = x.row(i);
+        let n = row.len() as f32;
+        let mean = row.iter().sum::<f32>() / n;
+        let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
+        let inv = 1.0 / (var + 1e-5).sqrt();
+        let (g, b) = (gain.row(0), bias.row(0));
+        for (((o, &v), &g), &b) in out.row_mut(i).iter_mut().zip(row).zip(g).zip(b) {
+            *o = (v - mean) * inv * g + b;
+        }
+    }
+}
+
+/// Token plus position embeddings of `ids` into `x` (`ids.len() × d`):
+/// packed samples of `n` tokens each, so row `r` takes position `r % n`.
+fn embed_into(store: &ParamStore, raw: &RawHandles<'_>, ids: &[usize], n: usize, x: &mut Matrix) {
+    let (tok_table, pos_table) = (store.get(raw.tok_embed), store.get(raw.pos_embed));
+    for (r, &id) in ids.iter().enumerate() {
+        for ((o, &tv), &pv) in x
+            .row_mut(r)
+            .iter_mut()
+            .zip(tok_table.row(id))
+            .zip(pos_table.row(r % n))
+        {
+            *o = tv + pv;
+        }
     }
 }
 
@@ -178,28 +161,30 @@ fn lane_max(row: &[f32]) -> f32 {
     lanes.into_iter().fold(f32::NEG_INFINITY, f32::max)
 }
 
-/// One attention head over column block `off..off+hd` of one sample: the
-/// `n = scores.rows()` rows of `q`/`k`/`v` starting at `base`, attended
-/// under that sample's `n × n` additive `mask`.
+/// One attention head over column block `off..off+hd`: query rows `qrows`
+/// of `q` attend over key/value rows `krows` of `k`/`v` under the
+/// `nq × nk` additive `mask`, and the result lands in rows `qrows` of
+/// `cat`'s column block.
 ///
 /// The scores are one GEMM: the head's `q` block (gathered into `vh`)
 /// times the transposed `k` block (gathered into `head_out`, transposed
-/// into `kt`, `hd × n`), each element summed in head-dimension order. A
+/// into `kt`, `hd × nk`), each element summed in head-dimension order. A
 /// second pass per row applies `* scale (+ mask)` and takes the lane max
-/// ([`scale_mask_max`]) for the softmax, leaving the probabilities in
-/// `scores`. The weighted values `scores × v` block are written into the
-/// sample's rows of `cat`'s column block. `vh`/`head_out` are `n × hd`
-/// scratch matrices. Every operand is gathered out of the sample's row
-/// block first, so every sample of a pack runs exactly the single-sequence
-/// path. [`crate::Graph::attention`] runs this routine per head with a
-/// fresh `scores` and keeps it for its backward pass.
+/// ([`scale_mask_max`]) for the softmax, leaving the `nq × nk`
+/// probabilities in `scores`. The weighted values `scores × v` block are
+/// written into `cat`. `vh`/`head_out` are scratch matrices. Every operand
+/// is gathered out of its row block first, so every sample of a pack runs
+/// exactly the single-sequence path. [`crate::Graph::attention`] runs this
+/// routine per head with a fresh `scores` and keeps it for its backward
+/// pass.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attention_head(
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
     mask: Option<&Matrix>,
-    base: usize,
+    qrows: Range<usize>,
+    krows: Range<usize>,
     off: usize,
     hd: usize,
     scale: f32,
@@ -209,20 +194,164 @@ pub(crate) fn attention_head(
     head_out: &mut Matrix,
     cat: &mut Matrix,
 ) {
-    let n = scores.rows();
-    q.gather_block_into(base, base + n, off, hd, vh);
-    k.gather_block_into(base, base + n, off, hd, head_out);
+    q.gather_block_into(qrows.start, qrows.end, off, hd, vh);
+    k.gather_block_into(krows.start, krows.end, off, hd, head_out);
     head_out.transpose_into(kt);
     vh.matmul_into(kt, scores);
-    for i in 0..n {
+    for i in 0..scores.rows() {
         let sr = scores.row_mut(i);
         let mx = scale_mask_max(sr, mask.map(|m| m.row(i)), scale);
         crate::matrix::softmax_slice_with_max(sr, mx);
     }
-    // head_out = scores × v[block, off..off+hd].
-    v.gather_block_into(base, base + n, off, hd, vh);
+    // head_out = scores × v[krows, off..off+hd].
+    v.gather_block_into(krows.start, krows.end, off, hd, vh);
     scores.matmul_into(vh, head_out);
-    cat.scatter_block_from(base, off, head_out);
+    cat.scatter_block_from(qrows.start, off, head_out);
+}
+
+/// The temporaries of [`encoder_layer`], taken from a [`Scratch`] once per
+/// pass and recycled into it afterwards.
+struct LayerBufs {
+    ln: Matrix,
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+    scores: Matrix,
+    kt: Matrix,
+    vh: Matrix,
+    head_out: Matrix,
+    cat: Matrix,
+    proj: Matrix,
+    hidden: Matrix,
+    ffn: Matrix,
+}
+
+impl LayerBufs {
+    /// Buffers sized for `rows` activation rows attending over `n` keys.
+    fn take(scratch: &mut Scratch, rows: usize, n: usize, cfg: &TransformerConfig) -> LayerBufs {
+        let (d, hd) = (cfg.d_model, cfg.d_model / cfg.n_heads);
+        LayerBufs {
+            ln: scratch.matrix(rows, d),
+            q: scratch.matrix(rows, d),
+            k: scratch.matrix(rows, d),
+            v: scratch.matrix(rows, d),
+            scores: scratch.matrix(n, n),
+            kt: scratch.matrix(hd, n),
+            vh: scratch.matrix(n, hd),
+            head_out: scratch.matrix(n, hd),
+            cat: scratch.matrix(rows, d),
+            proj: scratch.matrix(rows, d),
+            hidden: scratch.matrix(rows, cfg.d_ff),
+            ffn: scratch.matrix(rows, d),
+        }
+    }
+
+    fn recycle(self, scratch: &mut Scratch) {
+        let b = self;
+        for m in [
+            b.ln, b.q, b.k, b.v, b.scores, b.kt, b.vh, b.head_out, b.cat, b.proj, b.hidden, b.ffn,
+        ] {
+            scratch.recycle(m);
+        }
+    }
+}
+
+/// Keys and values the query rows of [`encoder_layer`] attend over.
+enum Keys<'a> {
+    /// `x` holds this many equal sample blocks, each attending over its
+    /// own rows (the packed forward).
+    Packed(usize),
+    /// `x` holds rows `at` of one sequence: their keys and values are
+    /// written into rows `at` of the full-sequence `k`/`v`, and the rows
+    /// attend over all of them (the cached path).
+    Cached {
+        k: &'a mut Matrix,
+        v: &'a mut Matrix,
+        at: &'a [usize],
+    },
+}
+
+/// One pre-norm encoder layer, in place on the activation rows `x`: layer
+/// norm and the `q`/`k`/`v` projections, per-head [`attention_head`] over
+/// `keys` under the per-block additive `mask`, `wo` and the residual, then
+/// the feed-forward block and its residual. Each projection is one GEMM
+/// over all rows of `x`, and each output row depends only on its own input
+/// row and the keys and values it attends over.
+fn encoder_layer(
+    store: &ParamStore,
+    cfg: &TransformerConfig,
+    layer: &LayerParams,
+    x: &mut Matrix,
+    mask: Option<&Matrix>,
+    keys: Keys<'_>,
+    bufs: &mut LayerBufs,
+) {
+    let ids = layer.ids();
+    let b = bufs;
+    // Attention sub-block (pre-norm).
+    layer_norm_into(
+        x,
+        store.get(ids.ln1_gain),
+        store.get(ids.ln1_bias),
+        &mut b.ln,
+    );
+    b.ln.matmul_into(store.get(ids.wq), &mut b.q);
+    b.ln.matmul_into(store.get(ids.wk), &mut b.k);
+    b.ln.matmul_into(store.get(ids.wv), &mut b.v);
+    let (blocks, keys, values) = match keys {
+        Keys::Packed(blocks) => (blocks, &b.k, &b.v),
+        Keys::Cached { k, v, at } => {
+            k.scatter_rows_from(at, &b.k);
+            v.scatter_rows_from(at, &b.v);
+            (1, &*k, &*v)
+        }
+    };
+    let (rows, d) = x.shape();
+    let (nq, nk) = (rows / blocks, keys.rows() / blocks);
+    let (heads, hd) = (cfg.n_heads, d / cfg.n_heads);
+    let scale = 1.0 / (hd as f32).sqrt();
+    // Every element is written: the blocks cover the rows, the heads the
+    // columns.
+    b.cat.resize_buf_overwrite(rows, d);
+    for s in 0..blocks {
+        for h in 0..heads {
+            attention_head(
+                &b.q,
+                keys,
+                values,
+                mask,
+                s * nq..(s + 1) * nq,
+                s * nk..(s + 1) * nk,
+                h * hd,
+                hd,
+                scale,
+                &mut b.scores,
+                &mut b.kt,
+                &mut b.vh,
+                &mut b.head_out,
+                &mut b.cat,
+            );
+        }
+    }
+    b.cat.matmul_into(store.get(ids.wo), &mut b.proj);
+    x.add_assign(&b.proj);
+    // Feed-forward sub-block (pre-norm).
+    layer_norm_into(
+        x,
+        store.get(ids.ln2_gain),
+        store.get(ids.ln2_bias),
+        &mut b.ln,
+    );
+    b.ln.matmul_into(store.get(ids.w1), &mut b.hidden);
+    b.hidden.bias_relu(store.get(ids.b1));
+    b.hidden.matmul_into(store.get(ids.w2), &mut b.ffn);
+    let b2 = store.get(ids.b2);
+    for i in 0..rows {
+        for ((o, &hv), &bv) in x.row_mut(i).iter_mut().zip(b.ffn.row(i)).zip(b2.row(0)) {
+            // Same association as the tape: x + (ffn + b2).
+            *o += hv + bv;
+        }
+    }
 }
 
 /// Full-sequence forward pass on the blocked kernels, allocation-free via
@@ -314,88 +443,15 @@ fn forward_kernel(
     }
     let rows = b * n;
     let d = cfg.d_model;
-    let heads = cfg.n_heads;
-    let hd = d / heads;
 
     // ---- embeddings (sample s owns rows s·n .. (s+1)·n) ----
-    let tok_table = store.get(raw.tok_embed);
-    let pos_table = store.get(raw.pos_embed);
     let mut x = scratch.matrix(rows, d);
-    for (r, &id) in ids.iter().enumerate() {
-        for ((o, &tv), &pv) in x
-            .row_mut(r)
-            .iter_mut()
-            .zip(tok_table.row(id))
-            .zip(pos_table.row(r % n))
-        {
-            *o = tv + pv;
-        }
-    }
+    embed_into(store, &raw, &ids, n, &mut x);
 
     // ---- layers: one GEMM per projection for the whole group ----
-    let mut ln = scratch.matrix(rows, d);
-    let mut q = scratch.matrix(rows, d);
-    let mut k = scratch.matrix(rows, d);
-    let mut v = scratch.matrix(rows, d);
-    let mut scores = scratch.matrix(n, n);
-    let mut kt = scratch.matrix(hd, n);
-    let mut vh = scratch.matrix(n, hd);
-    let mut head_out = scratch.matrix(n, hd);
-    let mut cat = scratch.matrix(rows, d);
-    let mut proj = scratch.matrix(rows, d);
-    let mut hidden = scratch.matrix(rows, cfg.d_ff);
-    let mut ffn = scratch.matrix(rows, d);
-    let scale = 1.0 / (hd as f32).sqrt();
+    let mut bufs = LayerBufs::take(scratch, rows, n, cfg);
     for layer in raw.layers {
-        let idsl = layer.ids();
-        // Attention sub-block (pre-norm).
-        layer_norm_into(
-            &x,
-            store.get(idsl.ln1_gain),
-            store.get(idsl.ln1_bias),
-            &mut ln,
-        );
-        ln.matmul_into(store.get(idsl.wq), &mut q);
-        ln.matmul_into(store.get(idsl.wk), &mut k);
-        ln.matmul_into(store.get(idsl.wv), &mut v);
-        for s in 0..b {
-            for h in 0..heads {
-                attention_head(
-                    &q,
-                    &k,
-                    &v,
-                    mask,
-                    s * n,
-                    h * hd,
-                    hd,
-                    scale,
-                    &mut scores,
-                    &mut kt,
-                    &mut vh,
-                    &mut head_out,
-                    &mut cat,
-                );
-            }
-        }
-        cat.matmul_into(store.get(idsl.wo), &mut proj);
-        x.add_assign(&proj);
-        // Feed-forward sub-block (pre-norm).
-        layer_norm_into(
-            &x,
-            store.get(idsl.ln2_gain),
-            store.get(idsl.ln2_bias),
-            &mut ln,
-        );
-        ln.matmul_into(store.get(idsl.w1), &mut hidden);
-        hidden.bias_relu(store.get(idsl.b1));
-        hidden.matmul_into(store.get(idsl.w2), &mut ffn);
-        let b2 = store.get(idsl.b2);
-        for i in 0..rows {
-            for ((o, &hv), &bv) in x.row_mut(i).iter_mut().zip(ffn.row(i)).zip(b2.row(0)) {
-                // Same association as the tape: x + (ffn + b2).
-                *o += hv + bv;
-            }
-        }
+        encoder_layer(store, cfg, layer, &mut x, mask, Keys::Packed(b), &mut bufs);
     }
 
     // ---- final layer norm + per-sample pooling ----
@@ -410,11 +466,8 @@ fn forward_kernel(
     for s in 0..b {
         seq.mean_rows_block_into(s * n, (s + 1) * n, pooled.row_mut(s));
     }
-    for m in [
-        x, ln, q, k, v, scores, kt, vh, head_out, cat, proj, hidden, ffn,
-    ] {
-        scratch.recycle(m);
-    }
+    bufs.recycle(scratch);
+    scratch.recycle(x);
     (seq, pooled)
 }
 
@@ -578,9 +631,38 @@ pub fn encode_cached(
     encode_cached_with(t, store, tokens, mask, prev, &mut scratch)
 }
 
+/// The rows whose layer output can change when the input rows `changed`
+/// (non-empty) do: those rows, and every row that attends to one of them
+/// under `mask` (without a mask, every row). Softmax gives a blocked entry
+/// (`≤ MASK_BLOCKED`) weight exactly zero beside a finite unblocked row
+/// maximum. A row with no such maximum (every entry blocked, or one `+inf`)
+/// spreads its weight over every row, so it attends to all of them.
+fn reached_rows(mask: Option<&Matrix>, changed: &[usize], n: usize) -> Vec<usize> {
+    (0..n)
+        .filter(|&i| {
+            let Some(m) = mask else { return true };
+            let row = m.row(i);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let sparse = max > MASK_BLOCKED && max < f32::INFINITY;
+            !sparse || changed.iter().any(|&j| j == i || row[j] > MASK_BLOCKED)
+        })
+        .collect()
+}
+
 /// [`encode_cached`] with a caller-owned [`Scratch`], so repeated
 /// incremental predictions (the design-space-exploration loop) allocate only
 /// the returned cache matrices.
+///
+/// Per layer, the rows that changed or attend to a changed row are gathered
+/// and run through the layer body [`forward`] uses, attending over the
+/// cached keys and values of every row; the results are scattered back into
+/// the cache. So `seq` and `pooled` are bit-identical to [`forward`] under
+/// the same mask. Without a usable `prev` (none, or a different token count)
+/// every row is computed.
+///
+/// # Panics
+///
+/// Panics if `mask` does not match the (truncated) token count.
 pub fn encode_cached_with(
     t: &Transformer,
     store: &ParamStore,
@@ -591,238 +673,80 @@ pub fn encode_cached_with(
 ) -> (EncoderCache, InferStats) {
     let raw = t.raw();
     let cfg = raw.config;
-    let n = tokens.len().min(cfg.max_len).max(1);
+    let n = cfg.effective_len(tokens.len());
     let ids: Vec<usize> = tokens
         .iter()
         .take(n)
         .map(|&tok| clamp_token(tok, cfg.vocab_size))
         .collect();
     if let Some(m) = mask {
-        assert_eq!(m.shape(), (ids.len(), ids.len()), "mask shape");
+        assert_eq!(m.shape(), (n, n), "mask shape");
     }
-
-    // Which input rows changed relative to the cached run?
-    let usable_prev =
-        prev.filter(|p| p.tokens.len() == ids.len() && p.layers.len() == raw.layers.len());
-    let mut changed: Vec<bool> = match usable_prev {
-        Some(p) => ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| p.tokens[i] as usize != id)
-            .collect(),
-        None => vec![true; ids.len()],
+    let usable_prev = prev.filter(|p| p.tokens.len() == n && p.layers.len() == raw.layers.len());
+    // Rows whose input changed; every row without a usable cache.
+    let mut rows: Vec<usize> = (0..n)
+        .filter(|&i| usable_prev.is_none_or(|p| p.tokens[i] as usize != ids[i]))
+        .collect();
+    let mut cache = match usable_prev {
+        Some(p) => p.clone(),
+        None => {
+            let zeros = Matrix::zeros(n, cfg.d_model);
+            let layer = LayerCache {
+                k: zeros.clone(),
+                v: zeros.clone(),
+                x_out: zeros.clone(),
+            };
+            EncoderCache {
+                tokens: Vec::new(),
+                layers: vec![layer; raw.layers.len()],
+                seq: zeros,
+                pooled: Matrix::zeros(1, cfg.d_model),
+            }
+        }
     };
+    cache.tokens = ids.iter().map(|&id| id as u32).collect();
+    let mut x0 = scratch.matrix(n, cfg.d_model);
+    embed_into(store, &raw, &ids, n, &mut x0);
 
     let mut stats = InferStats {
         rows_computed: 0,
-        rows_total: ids.len() * raw.layers.len(),
+        rows_total: n * raw.layers.len(),
     };
-
-    // ---- embeddings ----
-    let tok_table = store.get(raw.tok_embed);
-    let pos_table = store.get(raw.pos_embed);
-    let mut x = match usable_prev {
-        Some(p) => p.x0.clone(),
-        None => Matrix::zeros(ids.len(), cfg.d_model),
-    };
-    for (i, &id) in ids.iter().enumerate() {
-        if changed[i] {
-            for ((o, &tv), &pv) in x
-                .row_mut(i)
-                .iter_mut()
-                .zip(tok_table.row(id))
-                .zip(pos_table.row(i))
-            {
-                *o = tv + pv;
-            }
+    let mut x = scratch.matrix(n, cfg.d_model);
+    let mut mask_rows = scratch.matrix(n, n);
+    let mut bufs = LayerBufs::take(scratch, n, n, cfg);
+    let mut input = &x0;
+    for (layer, lc) in raw.layers.iter().zip(cache.layers.iter_mut()) {
+        if rows.is_empty() {
+            break;
         }
-    }
-    let x0 = x.clone();
-
-    // ---- row-loop scratch buffers (reused across rows and layers) ----
-    let d = cfg.d_model;
-    let mut ln_buf = scratch.row(d);
-    let mut cat_buf = scratch.row(d);
-    let mut mid_buf = scratch.row(d);
-    let mut proj_buf = scratch.row(d);
-    let mut hid_buf = scratch.row(cfg.d_ff);
-    let mut out_buf = scratch.row(d);
-    let mut score_buf = scratch.row(ids.len());
-    let mut weight_buf = scratch.row(ids.len());
-
-    // ---- layers ----
-    let heads = cfg.n_heads;
-    let hd = cfg.d_model / heads;
-    let mut layer_caches = Vec::with_capacity(raw.layers.len());
-    for (li, layer) in raw.layers.iter().enumerate() {
-        let idsl = layer.ids();
-        let prev_layer = usable_prev.map(|p| &p.layers[li]);
-        let (g1, b1) = (store.get(idsl.ln1_gain), store.get(idsl.ln1_bias));
-        let (wq, wk, wv, wo) = (
-            store.get(idsl.wq),
-            store.get(idsl.wk),
-            store.get(idsl.wv),
-            store.get(idsl.wo),
-        );
-
-        // q/k/v rows: recompute only changed rows.
-        let (mut q, mut k, mut v) = match prev_layer {
-            Some(pl) => (pl.q.clone(), pl.k.clone(), pl.v.clone()),
-            None => (
-                Matrix::zeros(ids.len(), cfg.d_model),
-                Matrix::zeros(ids.len(), cfg.d_model),
-                Matrix::zeros(ids.len(), cfg.d_model),
-            ),
+        rows = reached_rows(mask, &rows, n);
+        input.gather_rows_into(&rows, &mut x);
+        if let Some(m) = mask {
+            m.gather_rows_into(&rows, &mut mask_rows);
+        }
+        let keys = Keys::Cached {
+            k: &mut lc.k,
+            v: &mut lc.v,
+            at: &rows,
         };
-        for i in 0..ids.len() {
-            if changed[i] {
-                layer_norm_row_into(x.row(i), g1, b1, &mut ln_buf);
-                row_matmul_into(&ln_buf, wq, q.row_mut(i));
-                row_matmul_into(&ln_buf, wk, k.row_mut(i));
-                row_matmul_into(&ln_buf, wv, v.row_mut(i));
-            }
-        }
-
-        // Which output rows change? Row i changes if its own input changed,
-        // or it attends (per mask) to any changed row j.
-        let mut changed_out = vec![false; ids.len()];
-        for i in 0..ids.len() {
-            if changed[i] {
-                changed_out[i] = true;
-                continue;
-            }
-            let attends_changed = (0..ids.len())
-                .any(|j| changed[j] && mask.map(|m| m.get(i, j) > MASK_BLOCKED).unwrap_or(true));
-            if attends_changed {
-                changed_out[i] = true;
-            }
-        }
-
-        let (g2, b2) = (store.get(idsl.ln2_gain), store.get(idsl.ln2_bias));
-        let (w1, b1f) = (store.get(idsl.w1), store.get(idsl.b1));
-        let (w2, b2f) = (store.get(idsl.w2), store.get(idsl.b2));
-        let mut x_out = match prev_layer {
-            Some(pl) => pl.x_out.clone(),
-            None => Matrix::zeros(ids.len(), cfg.d_model),
-        };
-        let scale = 1.0 / (hd as f32).sqrt();
-        for i in 0..ids.len() {
-            if !changed_out[i] {
-                continue;
-            }
-            stats.rows_computed += 1;
-            // Multi-head attention for row i.
-            cat_buf.fill(0.0);
-            for h in 0..heads {
-                let off = h * hd;
-                // scores over all j
-                score_buf.fill(f32::NEG_INFINITY);
-                for (j, s) in score_buf.iter_mut().enumerate() {
-                    let allowed = mask.map(|m| m.get(i, j) > MASK_BLOCKED).unwrap_or(true);
-                    if !allowed {
-                        continue;
-                    }
-                    let qr = &q.row(i)[off..off + hd];
-                    let kr = &k.row(j)[off..off + hd];
-                    let mut dot = 0.0f32;
-                    for (&qv, &kv) in qr.iter().zip(kr) {
-                        dot += qv * kv;
-                    }
-                    *s = dot * scale + mask.map(|m| m.get(i, j)).unwrap_or(0.0);
-                }
-                // softmax
-                let max = score_buf.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                let mut denom = 0.0f32;
-                weight_buf.fill(0.0);
-                if max.is_finite() {
-                    for (w, &s) in weight_buf.iter_mut().zip(&score_buf) {
-                        if s.is_finite() {
-                            *w = (s - max).exp();
-                            denom += *w;
-                        }
-                    }
-                } else {
-                    // fully-masked row: uniform (matches tape softmax)
-                    weight_buf.iter_mut().for_each(|w| *w = 1.0);
-                    denom = ids.len() as f32;
-                }
-                let inv = 1.0 / denom.max(1e-12);
-                for (j, &w) in weight_buf.iter().enumerate() {
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let a = w * inv;
-                    let vr = &v.row(j)[off..off + hd];
-                    let cr = &mut cat_buf[off..off + hd];
-                    for (o, &vv) in cr.iter_mut().zip(vr) {
-                        *o += a * vv;
-                    }
-                }
-            }
-            row_matmul_into(&cat_buf, wo, &mut proj_buf);
-            for ((m, &xv), &pv) in mid_buf.iter_mut().zip(x.row(i)).zip(&proj_buf) {
-                *m = xv + pv;
-            }
-            // FFN
-            layer_norm_row_into(&mid_buf, g2, b2, &mut ln_buf);
-            row_matmul_into(&ln_buf, w1, &mut hid_buf);
-            for (hv, &bv) in hid_buf.iter_mut().zip(b1f.row(0)) {
-                *hv = (*hv + bv).max(0.0);
-            }
-            row_matmul_into(&hid_buf, w2, &mut out_buf);
-            for (((o, &mv), &hv), &bv) in x_out
-                .row_mut(i)
-                .iter_mut()
-                .zip(&mid_buf)
-                .zip(&out_buf)
-                .zip(b2f.row(0))
-            {
-                // Same association as the tape: mid + (ffn + b2).
-                *o = mv + (hv + bv);
-            }
-        }
-        layer_caches.push(LayerCache {
-            q,
-            k,
-            v,
-            x_out: x_out.clone(),
-        });
-        x = x_out;
-        changed = changed_out;
+        let mask = mask.map(|_| &mask_rows);
+        encoder_layer(store, cfg, layer, &mut x, mask, keys, &mut bufs);
+        lc.x_out.scatter_rows_from(&rows, &x);
+        stats.rows_computed += rows.len();
+        input = &lc.x_out;
     }
 
-    // ---- final layer norm + pooling ----
-    let (fg, fb) = (store.get(raw.final_gain), store.get(raw.final_bias));
-    let mut seq = match usable_prev {
-        Some(p) => p.seq.clone(),
-        None => Matrix::zeros(ids.len(), cfg.d_model),
-    };
-    for i in 0..ids.len() {
-        if changed[i] || usable_prev.is_none() {
-            layer_norm_row_into(x.row(i), fg, fb, seq.row_mut(i));
-        }
+    // ---- final layer norm + pooling: O(n·d), so over every row ----
+    let last = cache.layers.last().map_or(&x0, |l| &l.x_out);
+    let (gain, bias) = (store.get(raw.final_gain), store.get(raw.final_bias));
+    layer_norm_into(last, gain, bias, &mut cache.seq);
+    let pooled = cache.pooled.row_mut(0);
+    cache.seq.mean_rows_block_into(0, n, pooled);
+    bufs.recycle(scratch);
+    for m in [x0, x, mask_rows] {
+        scratch.recycle(m);
     }
-    let mut pooled = Matrix::zeros(1, cfg.d_model);
-    for i in 0..ids.len() {
-        for (o, &sv) in pooled.row_mut(0).iter_mut().zip(seq.row(i)) {
-            *o += sv;
-        }
-    }
-    pooled.scale_assign(1.0 / ids.len().max(1) as f32);
-
-    for buf in [
-        ln_buf, cat_buf, mid_buf, proj_buf, hid_buf, out_buf, score_buf, weight_buf,
-    ] {
-        scratch.recycle_row(buf);
-    }
-
-    let cache = EncoderCache {
-        tokens: ids.iter().map(|&i| i as u32).collect(),
-        x0,
-        layers: layer_caches,
-        seq,
-        pooled,
-    };
     (cache, stats)
 }
 
@@ -1152,6 +1076,23 @@ mod tests {
             "incremental must equal fresh"
         );
         assert!(stats.rows_computed < stats.rows_total, "must save work");
+    }
+
+    #[test]
+    fn fully_blocked_row_is_recomputed_when_any_row_changes() {
+        let (t, store) = setup();
+        // Row 0 blocks every entry, so its softmax spreads over every row and
+        // the change at row 2 reaches it.
+        let mask = Matrix::from_fn(3, 3, |r, _| if r == 0 { -1e9 } else { 0.0 });
+        let (cache, _) = encode_cached(&t, &store, &[1, 2, 3], Some(&mask), None);
+        let b = [1u32, 2, 9];
+        let (incremental, _) = encode_cached(&t, &store, &b, Some(&mask), Some(&cache));
+        let (fresh, _) = encode_cached(&t, &store, &b, Some(&mask), None);
+        let (seq, pooled) = forward(&t, &store, &b, Some(&mask), &mut Scratch::new());
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&incremental.seq), bits(&fresh.seq), "stale row");
+        assert_eq!(bits(&incremental.seq), bits(&seq));
+        assert_eq!(bits(&incremental.pooled), bits(&pooled));
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   [`infer::forward`] a pack of one with an optional attention mask,
 //!   bit-identical per sample to the tape and the [`infer::encode_naive`]
 //!   oracle,
-//! * [`infer::encode_cached`] — forward-only inference with block-structured
-//!   attention caching (LLMulator's dynamic prediction acceleration),
+//! * [`infer::encode_cached`] — the same kernel's layer body run only on
+//!   the rows a changed token reaches under the attention mask, with every
+//!   other row served from the previous call's cache (LLMulator's dynamic
+//!   prediction acceleration), bit-identical to [`infer::forward`],
 //! * [`AdamW`] — decoupled-weight-decay optimizer,
 //! * [`train::batch_grads`] / [`train::par_map`] — parallel mini-batch
 //!   gradient accumulation and a generic scoped-thread map.

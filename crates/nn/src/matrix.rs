@@ -249,7 +249,7 @@ impl Matrix {
     /// [`Matrix::resize_buf`] without the zero-fill — only for kernels that
     /// assign (never accumulate into) every output element. Stale values may
     /// remain until overwritten.
-    fn resize_buf_overwrite(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn resize_buf_overwrite(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
@@ -372,6 +372,34 @@ impl Matrix {
         assert!(off + width <= self.cols, "scatter_block_from cols");
         for i in 0..src.rows {
             self.row_mut(lo + i)[off..off + width].copy_from_slice(src.row(i));
+        }
+    }
+
+    /// Copies rows `at[0], at[1], …` into `out` (reshaped to
+    /// `at.len() × cols`) — the incremental encoder's gather of the rows it
+    /// recomputes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row index is out of bounds.
+    pub(crate) fn gather_rows_into(&self, at: &[usize], out: &mut Matrix) {
+        out.resize_buf_overwrite(at.len(), self.cols);
+        for (dst, &i) in at.iter().enumerate() {
+            out.row_mut(dst).copy_from_slice(self.row(i));
+        }
+    }
+
+    /// Inverse of [`Matrix::gather_rows_into`]: writes row `r` of `src`
+    /// into row `at[r]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not `at.len() × cols` or a row index is out of
+    /// bounds.
+    pub(crate) fn scatter_rows_from(&mut self, at: &[usize], src: &Matrix) {
+        assert_eq!(src.shape(), (at.len(), self.cols), "scatter_rows_from");
+        for (r, &i) in at.iter().enumerate() {
+            self.row_mut(i).copy_from_slice(src.row(r));
         }
     }
 
@@ -681,6 +709,19 @@ mod tests {
         // Empty range gathers an empty matrix.
         src.gather_block_into(5, 5, 0, 3, &mut block);
         assert_eq!(block.shape(), (0, 3));
+    }
+
+    #[test]
+    fn gather_scatter_rows_round_trips() {
+        let a = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f32);
+        let mut g = Matrix::zeros(0, 0);
+        a.gather_rows_into(&[4, 1], &mut g);
+        assert_eq!(g.data(), &[12.0, 13.0, 14.0, 3.0, 4.0, 5.0]);
+        let mut b = Matrix::zeros(5, 3);
+        b.scatter_rows_from(&[4, 1], &g);
+        assert_eq!(b.row(4), a.row(4));
+        assert_eq!(b.row(1), a.row(1));
+        assert_eq!(b.row(0), &[0.0; 3]);
     }
 
     #[test]

@@ -3,22 +3,21 @@
 //! Forward passes need a handful of temporaries per layer (normalized
 //! activations, attention scores, FFN hidden rows). Allocating them per
 //! row — or even per call — dominated the profile of the naive inference
-//! path; a [`Scratch`] keeps returned buffers pooled so steady-state
+//! path; a [`Scratch`] keeps returned matrices pooled so steady-state
 //! inference performs no heap allocation at all.
 
 use crate::matrix::Matrix;
 
-/// Pool of reusable [`Matrix`] and row (`Vec<f32>`) buffers.
+/// Pool of reusable [`Matrix`] buffers.
 ///
 /// Buffers handed out are zero-filled at the requested shape; returning them
-/// with [`Scratch::recycle`] / [`Scratch::recycle_row`] keeps their
-/// allocations alive for the next request. The pool is intentionally
+/// with [`Scratch::recycle`] keeps their allocations alive for the next
+/// request. The pool is intentionally
 /// shape-agnostic: a recycled buffer's capacity is reused for whatever shape
 /// is asked for next.
 #[derive(Debug, Default)]
 pub struct Scratch {
     mats: Vec<Matrix>,
-    rows: Vec<Vec<f32>>,
 }
 
 impl Scratch {
@@ -63,22 +62,9 @@ impl Scratch {
         self.mats.push(m);
     }
 
-    /// A zeroed row buffer of `len` floats.
-    pub fn row(&mut self, len: usize) -> Vec<f32> {
-        let mut v = self.rows.pop().unwrap_or_default();
-        v.clear();
-        v.resize(len, 0.0);
-        v
-    }
-
-    /// Returns a row buffer to the pool.
-    pub fn recycle_row(&mut self, v: Vec<f32>) {
-        self.rows.push(v);
-    }
-
-    /// Number of pooled buffers (matrices + rows), for tests.
+    /// Number of pooled buffers, for tests.
     pub fn pooled(&self) -> usize {
-        self.mats.len() + self.rows.len()
+        self.mats.len()
     }
 }
 
@@ -124,18 +110,5 @@ mod tests {
         let m = s.matrix(16, 16);
         assert_eq!(m.shape(), (16, 16));
         assert_eq!(s.pooled(), 1, "grew a pooled buffer instead of allocating");
-    }
-
-    #[test]
-    fn rows_are_zeroed_and_reused() {
-        let mut s = Scratch::new();
-        let mut r = s.row(8);
-        r[3] = 5.0;
-        s.recycle_row(r);
-        let r2 = s.row(4);
-        assert_eq!(r2, vec![0.0; 4]);
-        assert_eq!(s.pooled(), 0);
-        s.recycle_row(r2);
-        assert_eq!(s.pooled(), 1);
     }
 }

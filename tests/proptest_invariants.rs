@@ -370,6 +370,65 @@ proptest! {
         }
     }
 
+    /// The §5.3 encoder cache against fresh passes: for lengths 0 to
+    /// `max_len + 8` (so truncation occurs), with and without a random mask
+    /// that blocks random pairs and whole rows, `encode_cached` over a
+    /// cache of a previous sequence gives `seq`/`pooled` bit-identical to
+    /// `encode_naive` and `forward` under the same mask. The previous
+    /// sequence is the current one with random positions changed, or a
+    /// random sequence of another length; without a usable cache (another
+    /// effective length) every row is computed.
+    #[test]
+    fn incremental_cached_encoder_is_bit_identical_to_fresh_passes(
+        len in 0usize..41, seed in 0u64..1000,
+    ) {
+        use llmulator_nn::{encode_cached, encode_naive, forward, ParamStore, Scratch, Transformer, TransformerConfig};
+        let cfg = TransformerConfig { n_layers: 2, ..TransformerConfig::tiny(64) };
+        let mut store = ParamStore::new();
+        let t = Transformer::new(cfg, &mut store, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xcac4e);
+        let random_mask = |n: usize, rng: &mut StdRng| {
+            let blocked_rows: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.2)).collect();
+            let data = (0..n * n)
+                .map(|at| if blocked_rows[at / n] || rng.gen_bool(0.3) { -1e9 } else { 0.0 })
+                .collect();
+            Matrix::from_vec(n, n, data)
+        };
+        let n = cfg.effective_len(len);
+        let mask = random_mask(n, &mut rng);
+        let tokens: Vec<u32> = (0..len).map(|_| rng.gen_range(0u32..64)).collect();
+        let prev: Vec<u32> = if rng.gen_bool(0.25) {
+            (0..rng.gen_range(0usize..41)).map(|_| rng.gen_range(0u32..64)).collect()
+        } else {
+            let changes = rng.gen_range(0..4);
+            let mut prev = tokens.clone();
+            for _ in 0..changes.min(len) {
+                let at = rng.gen_range(0..len);
+                prev[at] = rng.gen_range(0u32..64);
+            }
+            prev
+        };
+        let prev_n = cfg.effective_len(prev.len());
+        let prev_mask = if prev_n == n { mask.clone() } else { random_mask(prev_n, &mut rng) };
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut scratch = Scratch::new();
+        for (m, pm) in [(None, None), (Some(&mask), Some(&prev_mask))] {
+            let (cache, _) = encode_cached(&t, &store, &prev, pm, None);
+            let (inc, stats) = encode_cached(&t, &store, &tokens, m, Some(&cache));
+            let (ns, np) = encode_naive(&t, &store, &tokens, m);
+            let (fs, fp) = forward(&t, &store, &tokens, m, &mut scratch);
+            prop_assert_eq!(bits(inc.seq.data()), bits(ns.data()), "naive seq, mask={}", m.is_some());
+            prop_assert_eq!(bits(inc.pooled.data()), bits(np.data()), "naive pooled, mask={}", m.is_some());
+            prop_assert_eq!(bits(inc.seq.data()), bits(fs.data()), "forward seq, mask={}", m.is_some());
+            prop_assert_eq!(bits(inc.pooled.data()), bits(fp.data()), "forward pooled, mask={}", m.is_some());
+            prop_assert_eq!(stats.rows_total, n * cfg.n_layers);
+            prop_assert!(stats.rows_computed <= stats.rows_total);
+            if prev_n != n {
+                prop_assert_eq!(stats.rows_computed, stats.rows_total, "cold pass, mask={}", m.is_some());
+            }
+        }
+    }
+
     /// The fused tape attention node against the per-head chain it
     /// replaced, built from public `Graph` ops only ([`unfused_encode`]):
     /// for 1, 2 and 4 heads, 2 layers, lengths 1 to `max_len + 8` (so `n < 8`,
