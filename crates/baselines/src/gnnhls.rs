@@ -219,7 +219,12 @@ impl Gnnhls {
         }
     }
 
-    fn forward(&self, g: &mut Graph, store: &ParamStore, graph: &ProgramGraph) -> NodeId {
+    fn forward<'s>(
+        &self,
+        g: &mut Graph<'s>,
+        store: &'s ParamStore,
+        graph: &ProgramGraph,
+    ) -> NodeId {
         let x = g.input(graph.features.clone());
         let a = g.input(graph.adjacency.clone());
         // Round 1.

@@ -99,7 +99,7 @@ impl TensetMlp {
         }
     }
 
-    fn forward(&self, g: &mut Graph, store: &ParamStore, feats: &Matrix) -> NodeId {
+    fn forward<'s>(&self, g: &mut Graph<'s>, store: &'s ParamStore, feats: &Matrix) -> NodeId {
         let x = g.input(feats.clone());
         let w1 = g.param(store, self.w1);
         let b1 = g.param(store, self.b1);

@@ -73,7 +73,7 @@ impl Tlp {
         sample.text.tokenize(&self.tokenizer, self.max_len).tokens
     }
 
-    fn forward(&self, g: &mut Graph, store: &ParamStore, tokens: &[u32]) -> NodeId {
+    fn forward<'s>(&self, g: &mut Graph<'s>, store: &'s ParamStore, tokens: &[u32]) -> NodeId {
         let out = self.encoder.encode(g, store, tokens, None);
         let w = g.param(store, self.head_w);
         let b = g.param(store, self.head_b);

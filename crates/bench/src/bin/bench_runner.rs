@@ -9,8 +9,11 @@
 //!    autodiff-tape forward pass versus the scratch-backed blocked forward
 //!    (both produce bit-identical outputs);
 //! 3. **Train step** — one autodiff-tape step on the same sample
-//!    (forward, backward and `param_grads`), the unit of work of training
-//!    and DPO calibration;
+//!    (forward, backward and the consuming `param_grads`), the unit of
+//!    work of training, plus one online DPO observation
+//!    (`DpoCalibrator::observe_triple` on a 14-token sequence, default
+//!    `DpoConfig`, replay buffer warm): the reference margin and two
+//!    minibatch steps with their `AdamW` updates;
 //! 4. **Batch prediction** — `predict_batch` throughput over the Table 3
 //!    evaluation set at 1/2/4 worker threads;
 //! 5. **Fused batch** — the packed same-length-group GEMM path
@@ -28,7 +31,10 @@
 //! ground-truth throughput in programs/sec, gated on a bit-identity sweep of
 //! every `CycleReport`, written to `BENCH_sim.json`.
 
-use llmulator::{fusion_group_key, group_by_key, NumericPredictor, Sample};
+use llmulator::{
+    fusion_group_key, group_by_key, DpoCalibrator, DpoConfig, NumericPredictor, PreferenceTriple,
+    Sample,
+};
 use llmulator_bench::context::{all_workloads, median_seconds, predictor_config, EVAL_FACTORS};
 use llmulator_nn::{Graph, Matrix, Scratch, TransformerConfig};
 use llmulator_sim::Metric;
@@ -360,7 +366,29 @@ fn main() {
             );
             let loss = g.scale(lp, -1.0);
             g.backward(loss);
-            std::hint::black_box(g.param_grads(model.store()));
+            std::hint::black_box(g.param_grads());
+        }
+    }) / encode_inner as f64;
+
+    // --- one online DPO observation, replay buffer warm ---
+    eprintln!("bench-runner: DPO observation...");
+    let dpo = DpoConfig::default();
+    let mut policy = model.clone();
+    let mut calibrator = DpoCalibrator::new(&model, dpo);
+    let mut rng = StdRng::seed_from_u64(19);
+    let mut next_triple = || PreferenceTriple {
+        tokens: (0..14).map(|_| rng.gen_range(0u32..200)).collect(),
+        metric: Metric::Cycles,
+        y_w: rng.gen_range(1_000..500_000),
+        y_l: rng.gen_range(500_000..1_000_000),
+    };
+    for _ in 0..dpo.buffer_size {
+        calibrator.observe_triple(&mut policy, next_triple());
+    }
+    let dpo_observe_secs = median_seconds(encode_reps, || {
+        for _ in 0..encode_inner {
+            let triple = next_triple();
+            std::hint::black_box(calibrator.observe_triple(&mut policy, triple));
         }
     }) / encode_inner as f64;
 
@@ -491,6 +519,13 @@ fn main() {
         "  \"train_step\": {{ \"scale\": \"Medium\", \"tokens\": {}, \"tape_fwd_bwd_grads_ms\": {:.4} }},",
         tokens.len(),
         train_step_secs * 1e3
+    );
+    let _ = writeln!(
+        json,
+        "  \"dpo_observe\": {{ \"scale\": \"Medium\", \"tokens\": 14, \"minibatch\": {}, \"steps_per_observation\": {}, \"dpo_observe_ms\": {:.4} }},",
+        dpo.minibatch,
+        dpo.steps_per_observation,
+        dpo_observe_secs * 1e3
     );
     json.push_str("  \"batch_predict\": {\n");
     let _ = writeln!(json, "    \"samples\": {},", eval.len());

@@ -10,7 +10,7 @@ use crate::dataset::Sample;
 use crate::model::NumericPredictor;
 use crate::numeric::metric_to_int;
 use llmulator_ir::{InputData, Program};
-use llmulator_nn::{AdamConfig, AdamW, Graph, Matrix, NodeId};
+use llmulator_nn::{AdamConfig, AdamW, Graph, Matrix, NodeId, ParamStore};
 use llmulator_sim::Metric;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -243,8 +243,8 @@ impl DpoCalibrator {
         let batch = self.buffer.minibatch(self.config.minibatch, &mut self.rng);
         let policy = &*model;
         let (loss, grads) =
-            llmulator_nn::train::batch_grads(policy.store(), &batch, 1, |g, _, entry| {
-                dpo_loss(g, policy, entry, self.config.beta)
+            llmulator_nn::train::batch_grads(policy.store(), &batch, 1, |g, store, entry| {
+                dpo_loss(g, store, policy, entry, self.config.beta)
             });
         self.opt.apply(model.store_mut(), &grads);
         loss
@@ -253,13 +253,20 @@ impl DpoCalibrator {
 
 /// The per-triple DPO loss of paper Eq. 2 as a `1×1` tape node:
 /// `−log σ(β·((log π(y_w) − log π(y_l)) − ref_margin))`, with both policy
-/// log-probabilities read off one encoder pass.
-fn dpo_loss(g: &mut Graph, policy: &NumericPredictor, entry: &ReplayEntry, beta: f32) -> NodeId {
+/// log-probabilities read off one encoder pass over `store` (the policy's
+/// parameters).
+fn dpo_loss<'s>(
+    g: &mut Graph<'s>,
+    store: &'s ParamStore,
+    policy: &NumericPredictor,
+    entry: &ReplayEntry,
+    beta: f32,
+) -> NodeId {
     let t = &entry.triple;
     let codec = policy.config().codec;
     let (lp_w, lp_l) = policy.log_prob_pair_node(
         g,
-        policy.store(),
+        store,
         &t.tokens,
         t.metric,
         &codec.encode(t.y_w),
@@ -561,13 +568,13 @@ mod tests {
         let beta = 0.5;
         let loss_at = |m: &NumericPredictor| {
             let mut g = Graph::new();
-            let l = dpo_loss(&mut g, m, &entry, beta);
+            let l = dpo_loss(&mut g, m.store(), m, &entry, beta);
             g.value(l).get(0, 0)
         };
         let mut g = Graph::new();
-        let loss = dpo_loss(&mut g, &model, &entry, beta);
+        let loss = dpo_loss(&mut g, model.store(), &model, &entry, beta);
         g.backward(loss);
-        let grads = g.param_grads(model.store());
+        let grads = g.param_grads();
         let ids: std::collections::HashSet<_> = grads.iter().map(|(pid, _)| *pid).collect();
         assert_eq!(ids.len(), grads.len(), "each parameter listed once");
         let eps = 1e-3f32;

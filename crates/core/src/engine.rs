@@ -641,9 +641,10 @@ pub struct PredictResponse {
     pub items: Vec<ItemPrediction>,
 }
 
-/// Entries a session's prediction memo holds. A full memo is cleared
-/// before the next insert: entries of swapped-out epochs can never hit
-/// again, and clearing drops them without any per-entry bookkeeping.
+/// Entries a session's prediction memo holds. A full memo first drops the
+/// entries of epochs no longer registered (a swapped-out version can never
+/// hit again), and is cleared only if the live entries alone still fill it,
+/// so a hot swap of one variant keeps every other variant's entries.
 const MEMO_CAPACITY: usize = 64;
 
 /// Per-client serving state: a reusable scratch arena and a prediction
@@ -801,7 +802,7 @@ impl<'e> Session<'e> {
             for (tokens, pred) in todo.into_iter().zip(&preds) {
                 let item = item_from_prediction(pred);
                 if self.memo.len() >= MEMO_CAPACITY {
-                    self.memo.clear();
+                    self.make_memo_room();
                 }
                 self.memo.insert((epoch, tokens), item.clone());
                 fresh.push(item);
@@ -830,6 +831,19 @@ impl<'e> Session<'e> {
         }
         self.served += out.iter().filter(|r| r.is_ok()).count();
         out
+    }
+
+    /// Frees room in a full memo (see [`MEMO_CAPACITY`]): drops the entries
+    /// of unregistered epochs, then everything if it is still full.
+    fn make_memo_room(&mut self) {
+        let live: Vec<u64> = unpoisoned(self.engine.models.read())
+            .iter()
+            .map(|r| r.epoch)
+            .collect();
+        self.memo.retain(|(epoch, _), _| live.contains(epoch));
+        if self.memo.len() >= MEMO_CAPACITY {
+            self.memo.clear();
+        }
     }
 
     /// Validates request `index` against the model it resolved to. A
@@ -1649,5 +1663,41 @@ mod tests {
             stats.hits > 0 && stats.misses > MEMO_CAPACITY as u64,
             "{stats:?}"
         );
+    }
+
+    /// Online calibration re-registers its variant on every hot swap; the
+    /// stale epochs it leaves behind make room in a full memo, so the
+    /// incumbent's entries survive the churn. Each swap serves more than
+    /// half a memo of new sequences, so every second one overflows it.
+    #[test]
+    fn incumbent_entries_survive_calibrated_variant_swaps() {
+        let engine = engine_with_default();
+        engine.register_predictor("calibrated", tiny_predictor(11));
+        let mut session = engine.session();
+        let incumbent: Vec<PredictRequest> = (0..4u32)
+            .map(|i| PredictRequest::tokens(vec![i, 2, 3]))
+            .collect();
+        let first = session.predict_micro_batch(&incumbent);
+        for swap in 0..6u32 {
+            engine.register_predictor("calibrated", tiny_predictor(11 + u64::from(swap)));
+            for i in 0..(MEMO_CAPACITY / 2 + 8) as u32 {
+                session
+                    .predict(&PredictRequest::tokens(vec![i, swap]).for_model("calibrated"))
+                    .expect("serves");
+                assert!(
+                    session.memo.len() <= MEMO_CAPACITY,
+                    "{}",
+                    session.memo.len()
+                );
+            }
+        }
+        let before = engine.memo_stats();
+        let again = session.predict_micro_batch(&incumbent);
+        let after = engine.memo_stats();
+        assert_eq!(after.hits - before.hits, 4, "every incumbent entry hit");
+        assert_eq!(after.misses, before.misses);
+        for (a, b) in first.iter().zip(&again) {
+            assert_eq!(a.as_ref().ok(), b.as_ref().ok());
+        }
     }
 }

@@ -259,10 +259,10 @@ impl NumericPredictor {
 
     /// Per-sample training loss node: mean digit cross-entropy over all
     /// metrics and positions (paper Eq. 1).
-    fn sample_loss(
+    fn sample_loss<'s>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        g: &mut Graph<'s>,
+        store: &'s ParamStore,
         tokens: &[u32],
         targets: &[Vec<u8>],
     ) -> NodeId {
@@ -544,10 +544,10 @@ impl NumericPredictor {
 
     /// Builds the tape node for `log π(digits | tokens)` of one metric
     /// (summed per-position log-probabilities) — the DPO building block.
-    pub fn log_prob_node(
+    pub fn log_prob_node<'s>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        g: &mut Graph<'s>,
+        store: &'s ParamStore,
         tokens: &[u32],
         metric: Metric,
         digits: &[u8],
@@ -560,10 +560,10 @@ impl NumericPredictor {
     /// encoder pass and metric-head registration — the DPO preference pair.
     /// Forward values are bit-identical to two [`Self::log_prob_node`]
     /// calls; the backward sweep runs through the encoder once.
-    pub fn log_prob_pair_node(
+    pub fn log_prob_pair_node<'s>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        g: &mut Graph<'s>,
+        store: &'s ParamStore,
         tokens: &[u32],
         metric: Metric,
         a: &[u8],
@@ -577,10 +577,10 @@ impl NumericPredictor {
 
     /// Encodes `tokens` and applies `metric`'s digit head: a `1×(width·base)`
     /// logits node.
-    fn head_logits(
+    fn head_logits<'s>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        g: &mut Graph<'s>,
+        store: &'s ParamStore,
         tokens: &[u32],
         metric: Metric,
     ) -> NodeId {
@@ -779,7 +779,7 @@ mod tests {
             let mut g = Graph::new();
             let lp = model.log_prob_node(&mut g, store, &tokens, Metric::Cycles, digits);
             g.backward(lp);
-            g.param_grads(store)
+            g.param_grads()
         };
         let (ga, gb) = (single(&a), single(&b));
         let mut g = Graph::new();
@@ -787,7 +787,7 @@ mod tests {
         let lb = model.log_prob_node(&mut g, store, &tokens, Metric::Cycles, &b);
         let sum = g.add(la, lb);
         g.backward(sum);
-        let both = g.param_grads(store);
+        let both = g.param_grads();
         let ids: std::collections::HashSet<_> = both.iter().map(|(pid, _)| *pid).collect();
         assert_eq!(ids.len(), both.len(), "distinct ids");
         assert_eq!(both.len(), ga.len());

@@ -75,6 +75,14 @@ impl AdamW {
 
     /// Applies one update from accumulated gradients.
     ///
+    /// Each parameter is updated in one zipped pass over its weights,
+    /// gradient and both moments. Without indexing there are no bounds
+    /// checks in the loop, so the compiler vectorizes it; every element
+    /// still evaluates the same expression in the same operation order
+    /// (no reassociation, no fused multiply-add), so the weights are the
+    /// same bits as an element-at-a-time loop. The gradient-norm sum keeps
+    /// its sequential order.
+    ///
     /// # Panics
     ///
     /// Panics if a gradient's shape does not match its parameter, or if a
@@ -106,21 +114,19 @@ impl AdamW {
         let bias1 = 1.0 - c.beta1.powi(self.step as i32);
         let bias2 = 1.0 - c.beta2.powi(self.step as i32);
         for (pid, grad) in grads {
-            let idx = pid.0;
             let p = store.get_mut(*pid);
             assert_eq!(p.shape(), grad.shape(), "gradient shape mismatch");
-            let m = &mut self.m[idx];
-            let v = &mut self.v[idx];
-            for i in 0..p.data().len() {
-                let g = grad.data()[i] * scale;
-                let mi = c.beta1 * m.data()[i] + (1.0 - c.beta1) * g;
-                let vi = c.beta2 * v.data()[i] + (1.0 - c.beta2) * g * g;
-                m.data_mut()[i] = mi;
-                v.data_mut()[i] = vi;
+            let (m, v) = (&mut self.m[pid.0], &mut self.v[pid.0]);
+            let lanes = p.data_mut().iter_mut().zip(grad.data());
+            for ((w, &g), (m, v)) in lanes.zip(m.data_mut().iter_mut().zip(v.data_mut())) {
+                let g = g * scale;
+                let mi = c.beta1 * *m + (1.0 - c.beta1) * g;
+                let vi = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+                *m = mi;
+                *v = vi;
                 let m_hat = mi / bias1;
                 let v_hat = vi / bias2;
-                let w = p.data()[i];
-                p.data_mut()[i] = w - c.lr * (m_hat / (v_hat.sqrt() + c.eps) + c.weight_decay * w);
+                *w = *w - c.lr * (m_hat / (v_hat.sqrt() + c.eps) + c.weight_decay * *w);
             }
         }
     }
@@ -220,7 +226,7 @@ mod tests {
             let loss = g.cross_entropy(l, &[1]);
             let lv = g.value(loss).get(0, 0);
             g.backward(loss);
-            let grads = g.param_grads(&store);
+            let grads = g.param_grads();
             opt.apply(&mut store, &grads);
             last = lv;
         }

@@ -2,9 +2,12 @@
 //!
 //! A [`Graph`] is built per forward pass: every operation appends a node
 //! carrying its output value and enough cached state for the backward sweep.
-//! Parameters live outside the graph in a [`ParamStore`]; registering a
-//! parameter with [`Graph::param`] records the mapping so
-//! [`Graph::param_grads`] can hand the optimizer per-parameter gradients.
+//! Parameters live outside the graph in a [`ParamStore`]. A parameter leaf
+//! registered with [`Graph::param`] borrows its matrix from the store for
+//! the tape's lifetime `'p` instead of copying it, so a step over a short
+//! sequence does not pay for a copy of the whole model. After
+//! [`Graph::backward`], [`Graph::param_grads`] consumes the tape and moves
+//! each parameter's gradient out to the optimizer.
 //!
 //! Multi-head attention is one fused node, [`Graph::attention`]. Its forward
 //! runs the inference kernel's per-head routine (`infer::attention_head`)
@@ -19,6 +22,7 @@
 use crate::infer::attention_head;
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
 
 /// Identifier of a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -128,8 +132,26 @@ enum Op {
     },
 }
 
-struct NodeData {
-    value: Matrix,
+/// A node's forward value: computed by the tape, or a parameter borrowed
+/// from the store.
+enum Value<'p> {
+    Owned(Matrix),
+    Borrowed(&'p Matrix),
+}
+
+impl Deref for Value<'_> {
+    type Target = Matrix;
+
+    fn deref(&self) -> &Matrix {
+        match self {
+            Value::Owned(m) => m,
+            Value::Borrowed(m) => m,
+        }
+    }
+}
+
+struct NodeData<'p> {
+    value: Value<'p>,
     op: Op,
 }
 
@@ -153,22 +175,23 @@ fn add_cols_block(dst: &mut Matrix, off: usize, src: &Matrix) {
     }
 }
 
-/// One forward pass's computation tape.
-pub struct Graph {
-    nodes: Vec<NodeData>,
+/// One forward pass's computation tape; parameter leaves borrow the
+/// [`ParamStore`] for `'p`.
+pub struct Graph<'p> {
+    nodes: Vec<NodeData<'p>>,
     param_nodes: Vec<(ParamId, NodeId)>,
     grads: Vec<Option<Matrix>>,
 }
 
-impl Default for Graph {
+impl Default for Graph<'_> {
     fn default() -> Self {
         Graph::new()
     }
 }
 
-impl Graph {
+impl<'p> Graph<'p> {
     /// Empty tape.
-    pub fn new() -> Graph {
+    pub fn new() -> Graph<'p> {
         Graph {
             nodes: Vec::new(),
             param_nodes: Vec::new(),
@@ -177,6 +200,10 @@ impl Graph {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> NodeId {
+        self.push_value(Value::Owned(value), op)
+    }
+
+    fn push_value(&mut self, value: Value<'p>, op: Op) -> NodeId {
         self.nodes.push(NodeData { value, op });
         NodeId(self.nodes.len() - 1)
     }
@@ -192,15 +219,15 @@ impl Graph {
         self.push(value, Op::Leaf)
     }
 
-    /// Registers a parameter leaf, copying its current value from the store.
+    /// Registers a parameter leaf that borrows its value from the store.
     /// Registering the same parameter again on this tape returns the
     /// existing leaf, so every use shares one gradient slot and
     /// [`Graph::param_grads`] lists each parameter once.
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
+    pub fn param(&mut self, store: &'p ParamStore, id: ParamId) -> NodeId {
         if let Some(&(_, node)) = self.param_nodes.iter().find(|(pid, _)| *pid == id) {
             return node;
         }
-        let node = self.push(store.get(id).clone(), Op::Leaf);
+        let node = self.push_value(Value::Borrowed(store.get(id)), Op::Leaf);
         self.param_nodes.push((id, node));
         node
     }
@@ -245,7 +272,7 @@ impl Graph {
 
     /// Multiplies every row of `a` by a `1×d` row (layer-norm gain).
     pub fn mul_row(&mut self, a: NodeId, row: NodeId) -> NodeId {
-        let r = self.nodes[row.0].value.clone();
+        let r = &self.nodes[row.0].value;
         assert_eq!(r.rows(), 1, "mul_row takes a 1×d row");
         let mut v = self.nodes[a.0].value.clone();
         for i in 0..v.rows() {
@@ -258,10 +285,8 @@ impl Graph {
 
     /// Element-wise product.
     pub fn mul_elem(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let bb = self.nodes[b.0].value.clone();
-        let v = Matrix::from_fn(bb.rows(), bb.cols(), |r, c| {
-            self.nodes[a.0].value.get(r, c) * bb.get(r, c)
-        });
+        let (aa, bb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        let v = Matrix::from_fn(bb.rows(), bb.cols(), |r, c| aa.get(r, c) * bb.get(r, c));
         self.push(v, Op::MulElem(a, b))
     }
 
@@ -375,7 +400,7 @@ impl Graph {
     ///
     /// Panics if `targets.len()` differs from the number of logit rows.
     pub fn cross_entropy(&mut self, logits: NodeId, targets: &[usize]) -> NodeId {
-        let x = &self.nodes[logits.0].value;
+        let x: &Matrix = &self.nodes[logits.0].value;
         assert_eq!(x.rows(), targets.len(), "one target per logit row");
         let mut probs = x.clone();
         probs.softmax_rows_mut();
@@ -449,7 +474,7 @@ impl Graph {
             "attention q/k/v shapes"
         );
         assert!(heads > 0 && d % heads == 0, "heads must divide d");
-        let mask = mask.map(|m| &self.nodes[m.0].value);
+        let mask = mask.map(|m| &*self.nodes[m.0].value);
         if let Some(m) = mask {
             assert_eq!(m.shape(), (n, n), "attention mask shape");
         }
@@ -728,15 +753,18 @@ impl Graph {
         self.grads.get(id.0).and_then(|g| g.as_ref())
     }
 
-    /// Gradients of all registered parameters, one entry per distinct
-    /// parameter in registration order (missing grads are zeros).
-    pub fn param_grads(&self, store: &ParamStore) -> Vec<(ParamId, Matrix)> {
+    /// Consumes the tape and moves out the gradients of all registered
+    /// parameters, one entry per distinct parameter in registration order;
+    /// a parameter the loss does not reach gets zeros of its shape. Read
+    /// any values or gradients needed from the tape before calling this.
+    pub fn param_grads(mut self) -> Vec<(ParamId, Matrix)> {
         self.param_nodes
             .iter()
             .map(|&(pid, nid)| {
-                let g = self.grad(nid).cloned().unwrap_or_else(|| {
-                    let m = store.get(pid);
-                    Matrix::zeros(m.rows(), m.cols())
+                let g = self.grads.get_mut(nid.0).and_then(Option::take);
+                let g = g.unwrap_or_else(|| {
+                    let (rows, cols) = self.nodes[nid.0].value.shape();
+                    Matrix::zeros(rows, cols)
                 });
                 (pid, g)
             })
@@ -752,7 +780,7 @@ mod tests {
 
     /// Finite-difference gradient check for a scalar function of one param.
     fn check_grad(
-        build: impl Fn(&mut Graph, &ParamStore, ParamId) -> NodeId,
+        build: impl for<'s> Fn(&mut Graph<'s>, &'s ParamStore, ParamId) -> NodeId,
         init: Matrix,
         tol: f32,
     ) {
@@ -766,7 +794,7 @@ mod tests {
             l
         };
         g.backward(loss);
-        let analytic = g.param_grads(&store)[0].1.clone();
+        let analytic = g.param_grads().remove(0).1;
 
         // Numeric gradient.
         let eps = 1e-3f32;
@@ -945,7 +973,7 @@ mod tests {
             let loss = g.cross_entropy(l, &[2]);
             let v = g.value(loss).get(0, 0);
             g.backward(loss);
-            (v, g.param_grads(store)[0].1.clone())
+            (v, g.param_grads().remove(0).1)
         };
         let (l0, grad) = loss_at(&store);
         for r in 0..1 {
@@ -984,7 +1012,7 @@ mod tests {
         let y = g.slice_cols(m, 1, 1);
         let loss = g.add(x, y);
         g.backward(loss);
-        let grads = g.param_grads(&store);
+        let grads = g.param_grads();
         assert_eq!(grads.len(), 1, "listed once");
         assert_eq!(grads[0].1.data(), &[1.0, -2.0]);
     }

@@ -10,7 +10,9 @@
 //! * [`Scratch`] — a reusable buffer arena keeping steady-state inference
 //!   free of heap allocation,
 //! * [`Graph`] — a tape-based reverse-mode autodiff engine (gradient-checked
-//!   against finite differences in the test suite),
+//!   against finite differences in the test suite) whose parameter leaves
+//!   borrow the [`ParamStore`] and whose `param_grads` consumes the tape,
+//!   so a step copies no weights,
 //! * [`Transformer`] — a pre-norm encoder with *pluggable additive attention
 //!   masks* (the hook for LLMulator's dynamic control-flow separation),
 //! * [`infer::forward_packed`] / [`infer::forward`] — the production

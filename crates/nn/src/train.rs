@@ -74,7 +74,7 @@ pub fn batch_grads<T: Sync>(
     store: &ParamStore,
     items: &[T],
     threads: usize,
-    build: impl Fn(&mut Graph, &ParamStore, &T) -> NodeId + Sync,
+    build: impl for<'s> Fn(&mut Graph<'s>, &'s ParamStore, &T) -> NodeId + Sync,
 ) -> (f32, Vec<(ParamId, Matrix)>) {
     if items.is_empty() {
         return (0.0, Vec::new());
@@ -87,7 +87,7 @@ pub fn batch_grads<T: Sync>(
             let loss = build(&mut g, store, item);
             loss_sum += g.value(loss).get(0, 0);
             g.backward(loss);
-            let bg = g.param_grads(store);
+            let bg = g.param_grads();
             match &mut grads {
                 None => grads = Some(bg),
                 Some(acc) => {
@@ -152,12 +152,14 @@ mod tests {
         let mut store = ParamStore::new();
         let pid = store.add("w", Matrix::from_vec(1, 2, vec![0.4, -0.2]));
         let items: Vec<usize> = vec![0, 1, 0, 1, 1, 0];
-        let build = |g: &mut Graph, store: &ParamStore, item: &usize| {
-            let w = g.param(store, pid);
-            g.cross_entropy(w, &[*item])
+        let run = |threads| {
+            batch_grads(&store, &items, threads, |g, store, item| {
+                let w = g.param(store, pid);
+                g.cross_entropy(w, &[*item])
+            })
         };
-        let (l1, g1) = batch_grads(&store, &items, 1, build);
-        let (l2, g2) = batch_grads(&store, &items, 3, build);
+        let (l1, g1) = run(1);
+        let (l2, g2) = run(3);
         assert!((l1 - l2).abs() < 1e-5);
         for ((_, a), (_, b)) in g1.iter().zip(&g2) {
             for (x, y) in a.data().iter().zip(b.data()) {
@@ -200,7 +202,7 @@ mod tests {
             let w = g.param(&store, pid);
             let l = g.cross_entropy(w, &[0]);
             g.backward(l);
-            g.param_grads(&store)[0].1.clone()
+            g.param_grads().remove(0).1
         };
         for (a, b) in grads[0].1.data().iter().zip(single.data()) {
             assert!((a - b).abs() < 1e-6, "mean of identical items = item grad");

@@ -180,10 +180,10 @@ impl Transformer {
     /// `tokens` longer than `max_len` are truncated. `mask`, when present,
     /// must be an `n × n` additive matrix (0 to attend, a large negative
     /// number to block) where `n` is the truncated token count.
-    pub fn encode(
+    pub fn encode<'s>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        g: &mut Graph<'s>,
+        store: &'s ParamStore,
         tokens: &[u32],
         mask: Option<&Matrix>,
     ) -> EncodeOut {
@@ -216,10 +216,10 @@ impl Transformer {
         EncodeOut { seq, pooled }
     }
 
-    fn encode_layer(
+    fn encode_layer<'s>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        g: &mut Graph<'s>,
+        store: &'s ParamStore,
         layer: &LayerParams,
         x: NodeId,
         mask: Option<NodeId>,
@@ -411,7 +411,7 @@ mod tests {
                 let loss = g.cross_entropy(logits, &[*label]);
                 total += g.value(loss).get(0, 0);
                 g.backward(loss);
-                let batch = g.param_grads(&store);
+                let batch = g.param_grads();
                 match &mut grads {
                     None => grads = Some(batch),
                     Some(acc) => {

@@ -472,10 +472,11 @@ proptest! {
                     let logits = g.matmul(pooled, h);
                     let loss = g.cross_entropy(logits, &[target]);
                     g.backward(loss);
-                    let mut grads = g.param_grads(&store);
+                    let (seq_bits, loss_bits) = (bits(g.value(seq)), bits(g.value(loss)));
+                    let mut grads = g.param_grads();
                     grads.sort_by_key(|(pid, _)| store.name(*pid).to_string());
                     let grads: Vec<_> = grads.iter().map(|(pid, gm)| (store.name(*pid).to_string(), bits(gm))).collect();
-                    runs.push((bits(g.value(seq)), bits(g.value(loss)), grads));
+                    runs.push((seq_bits, loss_bits, grads));
                 }
                 let (fused, chain) = (&runs[0], &runs[1]);
                 prop_assert_eq!(&fused.0, &chain.0, "seq, heads={} mask={}", heads, m.is_some());
@@ -974,14 +975,14 @@ fn non_finite_pooled_rows_decode_to_all_zero_digits() {
 /// written as the per-head chain `slice_cols → matmul_nt → scale →
 /// add(mask) → softmax_rows → matmul → concat_cols`, using only public
 /// `Graph` ops and parameters looked up by name. Returns `(seq, pooled)`.
-fn unfused_encode(
-    g: &mut llmulator_nn::Graph,
-    store: &llmulator_nn::ParamStore,
+fn unfused_encode<'s>(
+    g: &mut llmulator_nn::Graph<'s>,
+    store: &'s llmulator_nn::ParamStore,
     cfg: llmulator_nn::TransformerConfig,
     tokens: &[u32],
     mask: Option<&Matrix>,
 ) -> (llmulator_nn::NodeId, llmulator_nn::NodeId) {
-    let param = |g: &mut llmulator_nn::Graph, name: &str| {
+    let param = |g: &mut llmulator_nn::Graph<'s>, name: &str| {
         let (pid, _) = store
             .iter()
             .find(|(pid, _)| store.name(*pid) == name)
@@ -1003,7 +1004,7 @@ fn unfused_encode(
     let mask = mask.map(|m| g.input(m.clone()));
     let hd = cfg.d_model / cfg.n_heads;
     for l in 0..cfg.n_layers {
-        let p = |g: &mut llmulator_nn::Graph, name: &str| param(g, &format!("layer{l}.{name}"));
+        let p = |g: &mut llmulator_nn::Graph<'s>, name: &str| param(g, &format!("layer{l}.{name}"));
         let ln = g.layer_norm_rows(x);
         let gain = p(g, "ln1_gain");
         let bias = p(g, "ln1_bias");
