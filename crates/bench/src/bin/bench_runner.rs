@@ -29,7 +29,9 @@
 //! `--sim` switches to the simulation-engine benchmark instead: per workload
 //! suite (plus a generated Class-mix suite), interpreted vs compiled
 //! ground-truth throughput in programs/sec, gated on a bit-identity sweep of
-//! every `CycleReport`, written to `BENCH_sim.json`.
+//! every `CycleReport`, written to `BENCH_sim.json`. Each repetition runs
+//! the interpreter, the compiled engine and compile-once reuse back to back;
+//! speedups are the medians of those per-round ratios, with their min/max.
 
 use llmulator::{
     fusion_group_key, group_by_key, DpoCalibrator, DpoConfig, NumericPredictor, PreferenceTriple,
@@ -43,6 +45,7 @@ use llmulator_token::NumericMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
+use std::time::Instant;
 
 struct KernelRow {
     name: String,
@@ -236,27 +239,52 @@ fn run_sim_bench(quick: bool, out_path: &str) {
             .iter()
             .filter(|(p, d)| llmulator_sim::simulate(p, d).is_ok())
             .collect();
-        let interp_secs = median_seconds(reps, || {
-            for (p, d) in &runnable {
-                std::hint::black_box(llmulator_sim::simulate(p, d).ok());
-            }
-        });
-        let compiled_secs = median_seconds(reps, || {
-            for (p, d) in &runnable {
-                std::hint::black_box(llmulator_sim::simulate_compiled(p, d).ok());
-            }
-        });
         // Compile-once reuse: the steady-state cost when one program is
         // profiled on many inputs.
         let compiled: Vec<_> = runnable
             .iter()
             .map(|(p, _)| llmulator_sim::compile(p))
             .collect();
-        let reuse_secs = median_seconds(reps, || {
-            for (c, (_, d)) in compiled.iter().zip(&runnable) {
-                std::hint::black_box(c.run(d).ok());
-            }
-        });
+        // Each round times the interpreter, the compiled engine and reuse
+        // back to back, so a slow stretch on a shared host slows all three
+        // alike; speedups are medians of the per-round ratios, with their
+        // range across rounds.
+        let seconds = |run: &dyn Fn()| {
+            let t0 = Instant::now();
+            run();
+            t0.elapsed().as_secs_f64()
+        };
+        let rounds: Vec<[f64; 3]> = (0..reps)
+            .map(|_| {
+                [
+                    seconds(&|| {
+                        for (p, d) in &runnable {
+                            std::hint::black_box(llmulator_sim::simulate(p, d).ok());
+                        }
+                    }),
+                    seconds(&|| {
+                        for (p, d) in &runnable {
+                            std::hint::black_box(llmulator_sim::simulate_compiled(p, d).ok());
+                        }
+                    }),
+                    seconds(&|| {
+                        for (c, (_, d)) in compiled.iter().zip(&runnable) {
+                            std::hint::black_box(c.run(d).ok());
+                        }
+                    }),
+                ]
+            })
+            .collect();
+        let median_of = |f: &dyn Fn(&[f64; 3]) -> f64| {
+            let mut v: Vec<f64> = rounds.iter().map(f).collect();
+            v.sort_by(f64::total_cmp);
+            (v[v.len() / 2], v[0], v[v.len() - 1])
+        };
+        let (interp_secs, _, _) = median_of(&|r| r[0]);
+        let (compiled_secs, _, _) = median_of(&|r| r[1]);
+        let (reuse_secs, _, _) = median_of(&|r| r[2]);
+        let (speedup, speedup_min, speedup_max) = median_of(&|r| r[0] / r[1]);
+        let (reuse, reuse_min, reuse_max) = median_of(&|r| r[0] / r[2]);
         let n = runnable.len() as f64;
         let comma = if si + 1 < suites.len() { "," } else { "" };
         let _ = writeln!(
@@ -265,16 +293,16 @@ fn run_sim_bench(quick: bool, out_path: &str) {
 \"class_mix\": {{ \"static\": {}, \"shape_adaptive\": {}, \"data_adaptive\": {} }}, \
 \"region_coverage\": {coverage:.3}, \
 \"interpreted_programs_per_sec\": {:.3}, \"compiled_programs_per_sec\": {:.3}, \
-\"speedup\": {:.3}, \"compiled_reuse_programs_per_sec\": {:.3}, \"reuse_speedup\": {:.3} }}{comma}",
+\"speedup\": {speedup:.3}, \"speedup_min\": {speedup_min:.3}, \"speedup_max\": {speedup_max:.3}, \
+\"compiled_reuse_programs_per_sec\": {:.3}, \"reuse_speedup\": {reuse:.3}, \
+\"reuse_speedup_min\": {reuse_min:.3}, \"reuse_speedup_max\": {reuse_max:.3} }}{comma}",
             items.len(),
             mix[0],
             mix[1],
             mix[2],
             n / interp_secs,
             n / compiled_secs,
-            interp_secs / compiled_secs,
             n / reuse_secs,
-            interp_secs / reuse_secs,
         );
     }
     json.push_str("  ]\n}\n");

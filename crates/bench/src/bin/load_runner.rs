@@ -49,7 +49,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use llmulator::LatencyHistogram;
+use llmulator::{Counter, LatencyHistogram};
 
 /// One measured load level: counters plus client-side latency percentiles.
 struct LevelResult {
@@ -582,10 +582,10 @@ fn main() {
     if let Some(fb) = &feedback_result {
         // Updates/swaps come from the daemon's own counters so the row is
         // greppable even when `server_stats` parsing changes shape.
-        let stats_num = |key: &str| {
+        let stats_num = |counter: Counter| {
             server_stats
                 .as_deref()
-                .and_then(|s| json_number(s, key))
+                .and_then(|s| json_number(s, counter.key()))
                 .map_or(0, |v| v as u64)
         };
         let _ = writeln!(
@@ -601,8 +601,8 @@ fn main() {
             fb.last_err,
             fb.improved,
             fb.max_epoch,
-            stats_num("updates"),
-            stats_num("hot_swaps"),
+            stats_num(Counter::Updates),
+            stats_num(Counter::HotSwaps),
         );
     }
     let _ = writeln!(

@@ -30,6 +30,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/cli/src/serve.rs",
     "crates/cli/src/net.rs",
     "crates/core/src/calibrate.rs",
+    "crates/core/src/counters.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/online.rs",
     "crates/core/src/serve_pool.rs",

@@ -25,11 +25,11 @@
 //! counted as a slow-client disconnect while every other connection keeps
 //! its answers.
 
-use crate::serve::{Dispatcher, ResponseTx, ServeSummary, TransportStats};
-use llmulator::{Error, MemoStats, PoolConfig, ServePool};
+use crate::serve::{Dispatcher, ResponseTx};
+use llmulator::{Error, PoolConfig, ServePool};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
@@ -106,12 +106,8 @@ fn install_signal_handlers() {}
 
 /// Binds `addr`, announces the bound address on stderr (`serve: listening
 /// on IP:PORT ...` — tests bind port 0 and parse the real port from this
-/// line), serves until [`SHUTDOWN`], then drains and reports.
-pub(crate) fn run_tcp(
-    addr: &str,
-    pool: ServePool,
-    config: PoolConfig,
-) -> Result<ServeSummary, Error> {
+/// line), serves until [`SHUTDOWN`], then drains.
+pub(crate) fn run_tcp(addr: &str, mut pool: ServePool, config: PoolConfig) -> Result<(), Error> {
     install_signal_handlers();
     let listener = match TcpListener::bind(addr) {
         Ok(listener) => listener,
@@ -131,19 +127,12 @@ pub(crate) fn run_tcp(
         config.max_batch.max(1),
         config.max_queue.max(1),
     );
-    let direct_errors = AtomicU64::new(0);
-    let transport = Arc::new(TransportStats::default());
     std::thread::scope(|scope| {
         while !SHUTDOWN.load(Ordering::Relaxed) {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     let pool = &pool;
-                    let direct_errors = &direct_errors;
-                    let transport = Arc::clone(&transport);
-                    scope.spawn(move || {
-                        let errors = handle_connection(stream, pool, transport);
-                        direct_errors.fetch_add(errors, Ordering::Relaxed);
-                    });
+                    scope.spawn(move || handle_connection(stream, pool));
                 }
                 // Nonblocking accept: idle (or transient per-connection
                 // failures like ECONNABORTED) just waits out a poll tick.
@@ -154,14 +143,8 @@ pub(crate) fn run_tcp(
         // are refused while accepted requests still get their answers.
         drop(listener);
     });
-    let stats = pool.drain();
-    Ok(ServeSummary {
-        stats,
-        direct_errors: direct_errors.load(Ordering::Relaxed),
-        slow_client_disconnects: transport.slow_client_disconnects.load(Ordering::Relaxed),
-        calibration: None,
-        memo: MemoStats::default(),
-    })
+    pool.drain();
+    Ok(())
 }
 
 /// Serves one connection: a reader loop on this thread, a sequencing
@@ -169,41 +152,37 @@ pub(crate) fn run_tcp(
 /// ([`writer_cap`]) and each socket write carries a timeout
 /// ([`write_timeout`]), so a client that stops reading is disconnected
 /// instead of wedging the daemon or buffering responses without limit.
-/// Returns the number of error responses produced without entering the
-/// pool (parse errors, oversized lines).
-fn handle_connection(stream: TcpStream, pool: &ServePool, transport: Arc<TransportStats>) -> u64 {
+fn handle_connection(stream: TcpStream, pool: &ServePool) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return 0;
+        return;
     }
     let Ok(write_half) = stream.try_clone() else {
-        return 0;
+        return;
     };
     let _ = write_half.set_write_timeout(Some(write_timeout()));
     let (tx, rx) = mpsc::sync_channel(writer_cap());
     let gone = Arc::new(AtomicBool::new(false));
     let writer = {
         let gone = Arc::clone(&gone);
-        let transport = Arc::clone(&transport);
+        let engine = Arc::clone(pool.engine());
         std::thread::spawn(move || {
-            crate::serve::writer_loop(BufWriter::new(write_half), &rx, &gone, &transport)
+            crate::serve::writer_loop(BufWriter::new(write_half), &rx, &gone, engine.counters())
         })
     };
     let out = ResponseTx::Bounded {
         tx,
         gone: Arc::clone(&gone),
-        transport: Arc::clone(&transport),
+        engine: Arc::clone(pool.engine()),
     };
-    let mut dispatcher = Dispatcher::new(pool, out, transport);
+    let mut dispatcher = Dispatcher::new(pool, out);
     read_lines(BufReader::new(stream), &mut dispatcher, &gone);
-    let direct_errors = dispatcher.direct_errors;
     // Dropping the dispatcher drops its channel sender; the writer exits
     // once every in-flight completion callback has fired, so joining here
     // guarantees all accepted requests on this connection were answered
     // (or the client was observed gone) before the thread ends.
     drop(dispatcher);
     let _ = writer.join();
-    direct_errors
 }
 
 /// The reader loop of both transports (a TCP connection or stdin):

@@ -48,7 +48,11 @@
 //! Two admin request types ride the same framing: `{"stats": true}` returns
 //! the serving counters and latency percentiles, `{"shutdown": true}`
 //! acknowledges and drains the daemon (stop accepting, finish everything
-//! already accepted, exit 0).
+//! already accepted, exit 0). Every layer counts into the engine's one
+//! registry ([`Engine::counters`](llmulator::Engine::counters)): the pool,
+//! the dispatcher (front-end error responses), the writers (slow clients),
+//! the session memos and the calibrator. The stats reply and the shutdown
+//! line both render from it, so they always agree.
 //!
 //! Requests are micro-batched by a shared
 //! [`ServePool`](llmulator::ServePool): every line buffered when a worker
@@ -59,9 +63,9 @@
 //! pool completions).
 
 use llmulator::{
-    AbRouter, CalibrationConfig, CalibrationStats, Calibrator, CalibratorCore, Engine,
-    EngineConfig, Error, FaultPlan, Feedback, MemoStats, NumericPredictor, PoolConfig, PoolStats,
-    PredictRequest, PredictResponse, ServeJob, ServePool,
+    AbRouter, CalibrationConfig, Calibrator, CalibratorCore, Counter, Counters, Engine,
+    EngineConfig, Error, FaultPlan, Feedback, NumericPredictor, PoolConfig, PredictRequest,
+    PredictResponse, ServeJob, ServePool,
 };
 use llmulator_sim::Metric;
 use serde_json::Value;
@@ -69,7 +73,7 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -78,7 +82,7 @@ use std::time::Duration;
 pub(crate) fn run(args: &[String]) -> ExitCode {
     match serve(args) {
         Ok(summary) => {
-            eprintln!("{}", summary.render());
+            eprintln!("{summary}");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -93,69 +97,47 @@ pub(crate) fn run(args: &[String]) -> ExitCode {
     }
 }
 
-/// Transport-level counters shared across every connection of one daemon
-/// run (the pool only sees jobs; these count what happened at the socket
-/// layer).
-#[derive(Debug, Default)]
-pub(crate) struct TransportStats {
-    /// Connections condemned because the client stopped reading and its
-    /// bounded writer queue filled up.
-    pub(crate) slow_client_disconnects: AtomicU64,
-}
-
-/// Final accounting for one daemon run, rendered on clean exit.
-pub(crate) struct ServeSummary {
-    /// Pool-side counters and latency percentiles.
-    pub(crate) stats: PoolStats,
-    /// Responses produced without entering the pool (parse errors,
-    /// oversized lines).
-    pub(crate) direct_errors: u64,
-    /// Connections dropped for not reading their responses.
-    pub(crate) slow_client_disconnects: u64,
-    /// Online-calibration counters, when `--calibrate` was active (filled
-    /// in after the background calibrator has drained and checkpointed).
-    pub(crate) calibration: Option<CalibrationStats>,
-    /// The workers' prediction-memo hits and misses (filled in once the
-    /// transport has drained).
-    pub(crate) memo: MemoStats,
-}
-
-impl ServeSummary {
-    fn render(&self) -> String {
-        let errors = self.stats.errors + self.direct_errors;
-        let latency = match &self.stats.latency {
-            None => "no latency samples".to_string(),
-            Some(l) => format!(
-                "latency p50/p90/p99/max {}/{}/{}/{} us over {} request(s)",
-                l.p50_micros, l.p90_micros, l.p99_micros, l.max_micros, l.count
-            ),
-        };
-        let calibration = match &self.calibration {
-            None => String::new(),
-            Some(c) => format!(
-                "; calibration: {} update(s), {} hot swap(s), {} rollback(s), \
-                 {} checkpoint(s)",
-                c.updates, c.hot_swaps, c.calibrations_rolled_back, c.checkpoints
-            ),
-        };
+/// The shutdown line, rendered once the transport has drained and the
+/// calibrator has stopped. Its `calibration:` clause appears exactly when
+/// the feedback queue is enabled, which is under `--calibrate`.
+fn shutdown_line(engine: &Engine) -> String {
+    let counters = engine.counters();
+    let n = |counter| counters.get(counter);
+    let latency = match counters.latency() {
+        None => "no latency samples".to_string(),
+        Some(l) => format!(
+            "latency p50/p90/p99/max {}/{}/{}/{} us over {} request(s)",
+            l.p50_micros, l.p90_micros, l.p99_micros, l.max_micros, l.count
+        ),
+    };
+    let calibration = if engine.feedback().is_enabled() {
         format!(
-            "serve: {} request(s) answered, {} error response(s), {} shed, {} deadline-shed; \
-             {} panic(s) contained, {} worker(s) respawned, {} slow client(s) disconnected; \
-             {latency}{calibration}; memo {} hit(s), {} miss(es); bye",
-            self.stats.served,
-            errors,
-            self.stats.shed,
-            self.stats.deadline_shed,
-            self.stats.panics_contained,
-            self.stats.workers_respawned,
-            self.slow_client_disconnects,
-            self.memo.hits,
-            self.memo.misses,
+            "; calibration: {} update(s), {} hot swap(s), {} rollback(s), {} checkpoint(s)",
+            n(Counter::Updates),
+            n(Counter::HotSwaps),
+            n(Counter::CalibrationsRolledBack),
+            n(Counter::Checkpoints)
         )
-    }
+    } else {
+        String::new()
+    };
+    format!(
+        "serve: {} request(s) answered, {} error response(s), {} shed, {} deadline-shed; \
+         {} panic(s) contained, {} worker(s) respawned, {} slow client(s) disconnected; \
+         {latency}{calibration}; memo {} hit(s), {} miss(es); bye",
+        n(Counter::Served),
+        n(Counter::Errors),
+        n(Counter::Shed),
+        n(Counter::DeadlineShed),
+        n(Counter::PanicsContained),
+        n(Counter::WorkersRespawned),
+        n(Counter::SlowClientDisconnects),
+        n(Counter::MemoHits),
+        n(Counter::MemoMisses),
+    )
 }
 
-fn serve(args: &[String]) -> Result<ServeSummary, Error> {
+fn serve(args: &[String]) -> Result<String, Error> {
     crate::check_flags(args, "serve", crate::SERVE_FLAGS)?;
     let model_path = crate::flag_value(args, "--model")?.unwrap_or("model.json");
     let max_batch = crate::parse_flag(args, "--max-batch", 64usize)?.max(1);
@@ -238,28 +220,24 @@ fn serve(args: &[String]) -> Result<ServeSummary, Error> {
         _ => FaultPlan::default(),
     };
     let pool = ServePool::start_with_faults(Arc::clone(&engine), pool_config, faults);
-    let summary = match tcp {
+    let served = match tcp {
         Some(addr) => crate::net::run_tcp(&addr, pool, pool_config),
         None => {
             eprintln!(
                 "serve: model `{model_path}` loaded; one JSON request per line on stdin \
                  ({workers} worker(s), micro-batch up to {max_batch})"
             );
-            Ok(serve_stdin(pool))
+            serve_stdin(pool);
+            Ok(())
         }
     };
     // Stop the background calibrator after the transport has drained: it
     // ingests any remaining feedback, publishes the final swap and writes
     // the final checkpoint before the summary is rendered.
-    let calibration = calibrator.map(|c| {
-        c.stop();
-        engine.calibration_stats()
-    });
-    summary.map(|mut s| {
-        s.calibration = calibration;
-        s.memo = engine.memo_stats();
-        s
-    })
+    if let Some(calibrator) = calibrator {
+        calibrator.stop();
+    }
+    served.map(|()| shutdown_line(&engine))
 }
 
 /// Builds and spawns the background calibration worker: resume the variant
@@ -316,40 +294,28 @@ fn start_calibrator(
 /// The stdin/stdout transport: reads lines on this thread, dispatches them
 /// through the shared pool, and lets a sequencing writer thread keep stdout
 /// in request order. EOF (or `{"shutdown": true}`) drains and returns.
-fn serve_stdin(pool: ServePool) -> ServeSummary {
+fn serve_stdin(mut pool: ServePool) {
     let (tx, rx) = mpsc::channel();
     let gone = Arc::new(AtomicBool::new(false));
-    let transport = Arc::new(TransportStats::default());
     let writer = {
         let gone = Arc::clone(&gone);
-        let transport = Arc::clone(&transport);
+        let engine = Arc::clone(pool.engine());
         std::thread::spawn(move || {
             let stdout = std::io::stdout();
-            writer_loop(stdout.lock(), &rx, &gone, &transport);
+            writer_loop(stdout.lock(), &rx, &gone, engine.counters());
         })
     };
-    let direct_errors;
     {
         // Stdout is a local pipe, not a remote client: keep the unbounded
         // channel (the reader blocking on a full queue bounds it in
         // practice).
-        let mut dispatcher =
-            Dispatcher::new(&pool, ResponseTx::Unbounded(tx), Arc::clone(&transport));
+        let mut dispatcher = Dispatcher::new(&pool, ResponseTx::Unbounded(tx));
         // A stdout hang-up (EPIPE) sets `gone`: stop reading, drain, exit
         // clean — `llmulator serve | head` must not error.
         crate::net::read_lines(std::io::stdin().lock(), &mut dispatcher, &gone);
-        direct_errors = dispatcher.direct_errors;
     }
-    let stats = pool.drain();
+    pool.drain();
     let _ = writer.join();
-    ServeSummary {
-        stats,
-        direct_errors,
-        // Stdout carries no write timeout, so this stays 0 in practice.
-        slow_client_disconnects: transport.slow_client_disconnects.load(Ordering::Relaxed),
-        calibration: None,
-        memo: MemoStats::default(),
-    }
 }
 
 /// One input line, classified. `Request` carries the echoed `id`, the
@@ -432,8 +398,8 @@ pub(crate) enum ResponseTx {
         tx: mpsc::SyncSender<(u64, String)>,
         /// Set when the client is hung up or condemned.
         gone: Arc<AtomicBool>,
-        /// Where slow-client disconnects are counted.
-        transport: Arc<TransportStats>,
+        /// The engine whose registry counts slow-client disconnects.
+        engine: Arc<Engine>,
     },
 }
 
@@ -445,11 +411,7 @@ impl ResponseTx {
             ResponseTx::Unbounded(tx) => {
                 let _ = tx.send((seq, line));
             }
-            ResponseTx::Bounded {
-                tx,
-                gone,
-                transport,
-            } => {
+            ResponseTx::Bounded { tx, gone, engine } => {
                 if gone.load(Ordering::Relaxed) {
                     return; // already condemned: drop the response
                 }
@@ -461,9 +423,7 @@ impl ResponseTx {
                         // than buffer unboundedly. `swap` keeps the count
                         // at one per connection.
                         if !gone.swap(true, Ordering::Relaxed) {
-                            transport
-                                .slow_client_disconnects
-                                .fetch_add(1, Ordering::Relaxed);
+                            engine.counters().add(Counter::SlowClientDisconnects, 1);
                         }
                     }
                     Err(mpsc::TrySendError::Disconnected(_)) => {}
@@ -482,24 +442,15 @@ impl ResponseTx {
 pub(crate) struct Dispatcher<'p> {
     pool: &'p ServePool,
     out: ResponseTx,
-    transport: Arc<TransportStats>,
     next_seq: u64,
-    /// Error responses produced without entering the pool.
-    pub(crate) direct_errors: u64,
 }
 
 impl<'p> Dispatcher<'p> {
-    pub(crate) fn new(
-        pool: &'p ServePool,
-        out: ResponseTx,
-        transport: Arc<TransportStats>,
-    ) -> Dispatcher<'p> {
+    pub(crate) fn new(pool: &'p ServePool, out: ResponseTx) -> Dispatcher<'p> {
         Dispatcher {
             pool,
             out,
-            transport,
             next_seq: 0,
-            direct_errors: 0,
         }
     }
 
@@ -533,17 +484,11 @@ impl<'p> Dispatcher<'p> {
                 true
             }
             Parsed::Invalid(id, e) => {
-                self.direct_errors += 1;
-                self.send(error_response(id, &e));
+                self.answer_error(id, &e);
                 true
             }
             Parsed::Stats(id) => {
-                let value = stats_response(
-                    &id,
-                    &self.pool.snapshot(),
-                    &self.transport,
-                    self.pool.engine(),
-                );
+                let value = stats_response(&id, self.pool.engine(), self.pool.depth());
                 self.send(value);
                 true
             }
@@ -562,8 +507,14 @@ impl<'p> Dispatcher<'p> {
     /// Answers a line that never reaches the parser (e.g. oversized) with
     /// a structured error response.
     pub(crate) fn reject(&mut self, error: &Error) {
-        self.direct_errors += 1;
-        self.send(error_response(Value::Null, error));
+        self.answer_error(Value::Null, error);
+    }
+
+    /// Answers an error that never enters the pool, counted in the
+    /// engine's `errors` before the reply is sent.
+    fn answer_error(&mut self, id: Value, error: &Error) {
+        self.pool.engine().counters().add(Counter::Errors, 1);
+        self.send(error_response(id, error));
     }
 
     fn take_seq(&mut self) -> u64 {
@@ -584,13 +535,13 @@ impl<'p> Dispatcher<'p> {
 /// the transport stops reading — the unified hung-up-client behavior of
 /// both stdin and TCP modes. A write *timeout* (a stalled client whose
 /// TCP window filled) is the writer-side flavor of a slow client, so it
-/// is also counted in `transport` — once per connection, shared with the
+/// is also counted in `counters` — once per connection, shared with the
 /// queue-overflow path through the same `gone` swap.
 pub(crate) fn writer_loop<W: Write>(
     mut out: W,
     rx: &mpsc::Receiver<(u64, String)>,
     gone: &AtomicBool,
-    transport: &TransportStats,
+    counters: &Counters,
 ) {
     let mut pending: BTreeMap<u64, String> = BTreeMap::new();
     let mut next = 0u64;
@@ -624,9 +575,7 @@ pub(crate) fn writer_loop<W: Write>(
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 );
                 if !was_gone && timed_out {
-                    transport
-                        .slow_client_disconnects
-                        .fetch_add(1, Ordering::Relaxed);
+                    counters.add(Counter::SlowClientDisconnects, 1);
                 }
             }
         }
@@ -658,16 +607,14 @@ fn success_response(id: &Value, response: &PredictResponse) -> Value {
     })
 }
 
-/// Builds the `{"stats": true}` response from a pool snapshot plus the
-/// transport-level counters, the per-model scorecards and the online
-/// calibration counters.
-fn stats_response(
-    id: &Value,
-    stats: &PoolStats,
-    transport: &TransportStats,
-    engine: &Engine,
-) -> Value {
-    let latency = match &stats.latency {
+/// Builds the `{"stats": true}` response: every registry counter (the
+/// calibrator's nested under `calibration`), the queue `depth`, latency
+/// percentiles, the swap epoch, the per-model scorecards and the feedback
+/// queue's own figures.
+fn stats_response(id: &Value, engine: &Engine, depth: usize) -> Value {
+    let counters = engine.counters();
+    let count = |c: &Counter| (c.key().to_string(), Value::U64(counters.get(*c)));
+    let latency = match counters.latency() {
         None => Value::Null,
         Some(l) => serde_json::json!({
             "count": l.count,
@@ -693,36 +640,27 @@ fn stats_response(
             })
         })
         .collect();
-    let c = engine.calibration_stats();
-    let memo = engine.memo_stats();
+    let (calibration, serving): (Vec<Counter>, Vec<Counter>) =
+        Counter::ALL.into_iter().partition(|c| c.is_calibration());
+    let feedback = engine.feedback();
+    let mut calibration: Vec<(String, Value)> = calibration.iter().map(count).collect();
+    calibration.extend([
+        ("queue_depth".into(), Value::U64(feedback.len() as u64)),
+        ("feedback_accepted".into(), Value::U64(feedback.accepted())),
+        ("feedback_dropped".into(), Value::U64(feedback.dropped())),
+    ]);
+    let mut stats: Vec<(String, Value)> = serving.iter().map(count).collect();
+    stats.extend([
+        ("queue_depth".into(), Value::U64(depth as u64)),
+        ("latency_us".into(), latency),
+        ("swap_epoch".into(), Value::U64(engine.swap_epoch())),
+        ("models".into(), Value::Array(models)),
+        ("calibration".into(), Value::Object(calibration)),
+    ]);
     serde_json::json!({
         "id": id.clone(),
         "ok": true,
-        "stats": {
-            "served": stats.served,
-            "errors": stats.errors,
-            "shed": stats.shed,
-            "panics_contained": stats.panics_contained,
-            "deadline_shed": stats.deadline_shed,
-            "workers_respawned": stats.workers_respawned,
-            "slow_client_disconnects": transport.slow_client_disconnects.load(Ordering::Relaxed),
-            "queue_depth": stats.depth,
-            "latency_us": latency,
-            "swap_epoch": engine.swap_epoch(),
-            "memo_hits": memo.hits,
-            "memo_misses": memo.misses,
-            "models": Value::Array(models),
-            "calibration": {
-                "updates": c.updates,
-                "hot_swaps": c.hot_swaps,
-                "calibrations_rolled_back": c.calibrations_rolled_back,
-                "checkpoints": c.checkpoints,
-                "checkpoint_errors": c.checkpoint_errors,
-                "queue_depth": c.queue_depth,
-                "feedback_accepted": c.feedback_accepted,
-                "feedback_dropped": c.feedback_dropped,
-            },
-        },
+        "stats": Value::Object(stats),
     })
 }
 
@@ -1099,18 +1037,7 @@ mod tests {
     #[test]
     fn stats_response_renders_counters_and_latency() {
         let engine = EngineConfig::new().build();
-        let transport = TransportStats::default();
-        let empty = PoolStats {
-            served: 0,
-            errors: 0,
-            shed: 0,
-            panics_contained: 0,
-            deadline_shed: 0,
-            workers_respawned: 0,
-            depth: 0,
-            latency: None,
-        };
-        let text = stats_response(&Value::Str("s".into()), &empty, &transport, &engine).to_string();
+        let text = stats_response(&Value::Str("s".into()), &engine, 0).to_string();
         assert!(text.contains("\"latency_us\":null"), "{text}");
         assert!(text.contains("\"served\":0"), "{text}");
         assert!(text.contains("\"calibration\":"), "{text}");
@@ -1137,23 +1064,21 @@ mod tests {
                 .expect("serves");
         }
 
-        let mut h = llmulator::LatencyHistogram::new();
-        h.record_micros(100);
-        h.record_micros(200);
-        let full = PoolStats {
-            served: 2,
-            errors: 1,
-            shed: 3,
-            panics_contained: 5,
-            deadline_shed: 6,
-            workers_respawned: 7,
-            depth: 4,
-            latency: h.summary(),
-        };
-        transport
-            .slow_client_disconnects
-            .store(8, Ordering::Relaxed);
-        let text = stats_response(&Value::Null, &full, &transport, &engine).to_string();
+        let counters = engine.counters();
+        counters.record_latency(Duration::from_micros(100));
+        counters.record_latency(Duration::from_micros(200));
+        for (counter, n) in [
+            (Counter::Served, 2),
+            (Counter::Errors, 1),
+            (Counter::Shed, 3),
+            (Counter::PanicsContained, 5),
+            (Counter::DeadlineShed, 6),
+            (Counter::WorkersRespawned, 7),
+            (Counter::SlowClientDisconnects, 8),
+        ] {
+            counters.add(counter, n);
+        }
+        let text = stats_response(&Value::Null, &engine, 4).to_string();
         for needle in [
             "\"served\":2",
             "\"errors\":1",
@@ -1206,11 +1131,11 @@ mod tests {
     fn bounded_response_tx_condemns_slow_clients_once() {
         let (tx, rx) = mpsc::sync_channel(2);
         let gone = Arc::new(AtomicBool::new(false));
-        let transport = Arc::new(TransportStats::default());
+        let engine = Arc::new(EngineConfig::new().build());
         let out = ResponseTx::Bounded {
             tx,
             gone: Arc::clone(&gone),
-            transport: Arc::clone(&transport),
+            engine: Arc::clone(&engine),
         };
         out.send(0, "a".into());
         out.send(1, "b".into());
@@ -1221,7 +1146,7 @@ mod tests {
         out.send(3, "d".into());
         assert!(gone.load(Ordering::Relaxed), "slow client condemned");
         assert_eq!(
-            transport.slow_client_disconnects.load(Ordering::Relaxed),
+            engine.counters().get(Counter::SlowClientDisconnects),
             1,
             "counted once per connection"
         );
@@ -1233,7 +1158,7 @@ mod tests {
 
     #[test]
     fn writer_loop_reorders_by_sequence_and_respects_gone() {
-        let transport = TransportStats::default();
+        let engine = EngineConfig::new().build();
         let (tx, rx) = mpsc::channel();
         // Out-of-order completions: 2, 0, 1 must print as 0, 1, 2.
         tx.send((2, "two".to_string())).expect("send");
@@ -1242,7 +1167,7 @@ mod tests {
         drop(tx);
         let mut out = Vec::new();
         let gone = AtomicBool::new(false);
-        writer_loop(&mut out, &rx, &gone, &transport);
+        writer_loop(&mut out, &rx, &gone, engine.counters());
         assert_eq!(String::from_utf8_lossy(&out), "zero\none\ntwo\n");
 
         // A hung-up client: everything is drained, nothing is written.
@@ -1251,10 +1176,10 @@ mod tests {
         drop(tx);
         let mut out = Vec::new();
         let gone = AtomicBool::new(true);
-        writer_loop(&mut out, &rx, &gone, &transport);
+        writer_loop(&mut out, &rx, &gone, engine.counters());
         assert!(out.is_empty(), "gone writer writes nothing");
         assert_eq!(
-            transport.slow_client_disconnects.load(Ordering::Relaxed),
+            engine.counters().get(Counter::SlowClientDisconnects),
             0,
             "clean writes and hung-up clients are not slow clients"
         );
@@ -1277,7 +1202,7 @@ mod tests {
     #[test]
     fn writer_loop_counts_timed_out_clients_but_not_hangups() {
         // A write timeout is a slow client: condemned AND counted once.
-        let transport = TransportStats::default();
+        let engine = EngineConfig::new().build();
         let (tx, rx) = mpsc::channel();
         tx.send((0, "a".to_string())).expect("send");
         tx.send((1, "b".to_string())).expect("send");
@@ -1287,14 +1212,14 @@ mod tests {
             FailingSink(std::io::ErrorKind::TimedOut),
             &rx,
             &gone,
-            &transport,
+            engine.counters(),
         );
         assert!(gone.load(Ordering::Relaxed), "timed-out client condemned");
-        assert_eq!(transport.slow_client_disconnects.load(Ordering::Relaxed), 1);
+        assert_eq!(engine.counters().get(Counter::SlowClientDisconnects), 1);
 
         // EPIPE/reset is a client that left, not a slow one: condemned
         // but not counted.
-        let transport = TransportStats::default();
+        let engine = EngineConfig::new().build();
         let (tx, rx) = mpsc::channel();
         tx.send((0, "a".to_string())).expect("send");
         drop(tx);
@@ -1303,10 +1228,10 @@ mod tests {
             FailingSink(std::io::ErrorKind::BrokenPipe),
             &rx,
             &gone,
-            &transport,
+            engine.counters(),
         );
         assert!(gone.load(Ordering::Relaxed), "vanished client condemned");
-        assert_eq!(transport.slow_client_disconnects.load(Ordering::Relaxed), 0);
+        assert_eq!(engine.counters().get(Counter::SlowClientDisconnects), 0);
     }
 
     #[test]

@@ -873,6 +873,56 @@ fn timeout_zero_requests_are_shed_with_deadline_exceeded() {
     assert!(summary.contains("2 deadline-shed"), "{summary}");
 }
 
+/// `{"stats": true}` and the shutdown line read one counter registry: after
+/// valid, malformed and zero-deadline requests they agree on every count
+/// they share, and both include the front end's error response.
+#[test]
+fn stats_reply_and_shutdown_line_report_the_same_counters() {
+    let daemon = Daemon::spawn(&["--workers", "1"]);
+    let mut conn = daemon.connect();
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let payload = format!(
+        "{}\n{}\n{}\nthis line is not json\n{}\n",
+        request_line(12, 0),
+        request_line(12, 1),
+        request_line(12, 2),
+        request_line_with_timeout(12, 3, 0),
+    );
+    conn.write_all(payload.as_bytes()).expect("send");
+    let got = read_lines(&mut reader, 5);
+    assert!(
+        got[3].contains("\"kind\":\"invalid_request\""),
+        "{}",
+        got[3]
+    );
+    assert!(
+        got[4].contains("\"kind\":\"deadline_exceeded\""),
+        "{}",
+        got[4]
+    );
+    conn.write_all(b"{\"id\": \"s\", \"stats\": true}\n")
+        .expect("stats sent");
+    let stats = read_lines(&mut reader, 1).remove(0);
+    let summary = daemon.shutdown_and_wait();
+    for (key, suffix) in [
+        ("served", "request(s) answered"),
+        ("errors", "error response(s)"),
+        ("shed", " shed,"),
+        ("deadline_shed", "deadline-shed"),
+        ("memo_hits", "hit(s)"),
+        ("memo_misses", "miss(es)"),
+    ] {
+        assert_eq!(
+            extract_u64(&stats, key),
+            summary_count(&summary, suffix),
+            "{key}: {stats} vs {summary}"
+        );
+    }
+    assert_eq!(extract_u64(&stats, "errors"), 1, "{stats}");
+    assert_eq!(extract_u64(&stats, "served"), 3, "{stats}");
+    assert_eq!(extract_u64(&stats, "deadline_shed"), 1, "{stats}");
+}
+
 /// `--default-timeout-ms` applies to requests without their own deadline,
 /// and an explicit generous `timeout_ms` overrides it.
 #[test]

@@ -62,11 +62,6 @@ impl<'m> CachedPredictor<'m> {
         }
     }
 
-    /// Clears the cache (e.g. after a model update).
-    pub fn invalidate(&mut self) {
-        self.cache = None;
-    }
-
     /// Predicts with block-cached attention, returning the encoder's work
     /// statistics. The tokenized program carries the segment map the mask
     /// is built from.

@@ -9,6 +9,10 @@
 //!   [`NumericPredictor`] and any [`CostModel`] baseline, behind the
 //!   object-safe [`ServableModel`] trait) plus serving defaults
 //!   ([`EngineConfig`], builder-style);
+//! * its one counter registry ([`Engine::counters`]) holds every lifetime
+//!   count the serving layers make (pool, transports, session memos, the
+//!   online calibrator) and the latency histogram of completed requests,
+//!   so every stats surface reads the same numbers;
 //! * a [`Session`] holds the per-client mutable state — a [`Scratch`]
 //!   arena reused across requests so a steady-state encoder pass allocates
 //!   nothing per call, and a small prediction memo keyed on
@@ -31,14 +35,13 @@
 //! calling the predictor directly, alone or micro-batched, memoized or not.
 
 use crate::calibrate::PreferenceTriple;
+use crate::counters::{Counter, Counters};
 use crate::dataset::{CostModel, Sample};
 use crate::encode::SegmentedText;
 use crate::error::Error;
 use crate::model::{NumericPredictor, Prediction};
 use crate::numeric::metric_to_int;
-use crate::online::{
-    abs_rel_error, AbRouter, CalibrationCounters, CalibrationStats, FeedbackQueue, Scoreboard,
-};
+use crate::online::{abs_rel_error, AbRouter, FeedbackQueue, Scoreboard};
 use crate::sync::unpoisoned;
 use llmulator_ir::{parse, InputData, Program};
 use llmulator_nn::Scratch;
@@ -199,9 +202,9 @@ impl std::fmt::Debug for Resolved {
     }
 }
 
-/// A long-lived prediction engine: named model registry, serving defaults
-/// and the online-calibration surfaces (feedback queue, A/B router,
-/// per-model scoreboard, calibration counters).
+/// A long-lived prediction engine: named model registry, serving defaults,
+/// the counter registry and the online-calibration surfaces (feedback
+/// queue, A/B router, per-model scoreboard).
 ///
 /// The engine is `Sync` and every mutating surface takes `&self` behind
 /// interior locks, so one engine can back many concurrent [`Session`]s
@@ -215,9 +218,7 @@ pub struct Engine {
     router: RwLock<Option<AbRouter>>,
     feedback: FeedbackQueue,
     scores: Scoreboard,
-    calibration: CalibrationCounters,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
+    counters: Counters,
 }
 
 impl std::fmt::Debug for Engine {
@@ -242,9 +243,7 @@ impl Engine {
             router: RwLock::new(None),
             feedback,
             scores,
-            calibration: CalibrationCounters::default(),
-            memo_hits: AtomicU64::new(0),
-            memo_misses: AtomicU64::new(0),
+            counters: Counters::default(),
         }
     }
 
@@ -412,33 +411,10 @@ impl Engine {
         &self.scores
     }
 
-    /// Lifetime calibration counters (written by the background
-    /// [`crate::online::Calibrator`]).
-    pub fn calibration(&self) -> &CalibrationCounters {
-        &self.calibration
-    }
-
-    /// A point-in-time snapshot of the calibration subsystem.
-    pub fn calibration_stats(&self) -> CalibrationStats {
-        CalibrationStats {
-            updates: self.calibration.updates.load(Ordering::Relaxed),
-            hot_swaps: self.calibration.hot_swaps.load(Ordering::Relaxed),
-            calibrations_rolled_back: self.calibration.rolled_back.load(Ordering::Relaxed),
-            checkpoints: self.calibration.checkpoints.load(Ordering::Relaxed),
-            checkpoint_errors: self.calibration.checkpoint_errors.load(Ordering::Relaxed),
-            queue_depth: self.feedback.len(),
-            feedback_accepted: self.feedback.accepted(),
-            feedback_dropped: self.feedback.dropped(),
-        }
-    }
-
-    /// Prediction-memo lookups summed over every session of this engine:
-    /// one per predictor input sequence.
-    pub fn memo_stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.memo_hits.load(Ordering::Relaxed),
-            misses: self.memo_misses.load(Ordering::Relaxed),
-        }
+    /// The lifetime counters and request latencies of every layer serving
+    /// this engine (see [`Counter`]).
+    pub fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     /// Opens a serving session against this engine.
@@ -450,15 +426,6 @@ impl Engine {
             served: 0,
         }
     }
-}
-
-/// Lifetime counters of the sessions' prediction memos (see [`Session`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Input sequences answered from a memo.
-    pub hits: u64,
-    /// Input sequences that ran the encoder forward and decode.
-    pub misses: u64,
 }
 
 /// One prediction input.
@@ -822,12 +789,9 @@ impl<'e> Session<'e> {
             }
         }
         if hits + misses > 0 {
-            self.engine
-                .memo_hits
-                .fetch_add(hits as u64, Ordering::Relaxed);
-            self.engine
-                .memo_misses
-                .fetch_add(misses as u64, Ordering::Relaxed);
+            let counters = self.engine.counters();
+            counters.add(Counter::MemoHits, hits as u64);
+            counters.add(Counter::MemoMisses, misses as u64);
         }
         self.served += out.iter().filter(|r| r.is_ok()).count();
         out
@@ -1106,6 +1070,15 @@ mod tests {
         let engine = EngineConfig::new().threads(2).build();
         engine.register_predictor("default", tiny_predictor(3));
         engine
+    }
+
+    /// The engine's memo `(hits, misses)`.
+    fn memo(engine: &Engine) -> (u64, u64) {
+        let counters = engine.counters();
+        (
+            counters.get(Counter::MemoHits),
+            counters.get(Counter::MemoMisses),
+        )
     }
 
     /// A baseline that predicts constants (enough to exercise the adapter).
@@ -1582,14 +1555,14 @@ mod tests {
         let results = session.predict_micro_batch(&bad);
         assert!(results.iter().all(Result::is_err));
         assert!(session.memo.is_empty(), "nothing memoized");
-        assert_eq!(engine.memo_stats(), MemoStats::default(), "no lookups");
+        assert_eq!(memo(&engine), (0, 0), "no lookups");
         // A valid request beside them is the only entry.
         let mut mixed = bad.to_vec();
         mixed.push(PredictRequest::tokens(vec![1, 2]));
         let results = session.predict_micro_batch(&mixed);
         assert!(results.last().is_some_and(Result::is_ok));
         assert_eq!(session.memo.len(), 1);
-        assert_eq!(engine.memo_stats(), MemoStats { hits: 0, misses: 1 });
+        assert_eq!(memo(&engine), (0, 1));
     }
 
     #[test]
@@ -1608,7 +1581,7 @@ mod tests {
         });
         let hit = session.predict(&request).expect("serves");
         assert_eq!(hit, plain, "a hit answers the same bits");
-        assert_eq!(engine.memo_stats(), MemoStats { hits: 1, misses: 1 });
+        assert_eq!(memo(&engine), (1, 1));
         assert_eq!(engine.feedback().accepted(), 1, "queue got the triple");
         let triples = engine.feedback().drain_now();
         assert_eq!(triples[0].tokens, vec![2, 4, 6]);
@@ -1627,11 +1600,11 @@ mod tests {
         let first = session.predict(&request).expect("serves");
         let again = session.predict(&request).expect("serves");
         assert_eq!(again, first);
-        assert_eq!(engine.memo_stats(), MemoStats { hits: 1, misses: 1 });
+        assert_eq!(memo(&engine), (1, 1));
 
         engine.register_predictor("default", tiny_predictor(11));
         let swapped = session.predict(&request).expect("serves");
-        assert_eq!(engine.memo_stats(), MemoStats { hits: 1, misses: 2 });
+        assert_eq!(memo(&engine), (1, 2));
         assert_eq!(swapped.epoch, engine.swap_epoch());
         assert_ne!(swapped.epoch, first.epoch);
         let fresh = engine.session().predict(&request).expect("serves");
@@ -1658,11 +1631,8 @@ mod tests {
                 session.memo.len()
             );
         }
-        let stats = engine.memo_stats();
-        assert!(
-            stats.hits > 0 && stats.misses > MEMO_CAPACITY as u64,
-            "{stats:?}"
-        );
+        let (hits, misses) = memo(&engine);
+        assert!(hits > 0 && misses > MEMO_CAPACITY as u64, "{hits} {misses}");
     }
 
     /// Online calibration re-registers its variant on every hot swap; the
@@ -1691,11 +1661,11 @@ mod tests {
                 );
             }
         }
-        let before = engine.memo_stats();
+        let before = memo(&engine);
         let again = session.predict_micro_batch(&incumbent);
-        let after = engine.memo_stats();
-        assert_eq!(after.hits - before.hits, 4, "every incumbent entry hit");
-        assert_eq!(after.misses, before.misses);
+        let after = memo(&engine);
+        assert_eq!(after.0 - before.0, 4, "every incumbent entry hit");
+        assert_eq!(after.1, before.1);
         for (a, b) in first.iter().zip(&again) {
             assert_eq!(a.as_ref().ok(), b.as_ref().ok());
         }

@@ -44,6 +44,7 @@
 pub mod accel;
 pub mod cache;
 pub mod calibrate;
+pub mod counters;
 pub mod dataset;
 pub mod encode;
 pub mod engine;
@@ -63,11 +64,12 @@ pub use calibrate::{
     calibrate_cycles, CalibrationStep, CalibrationTrace, DpoCalibrator, DpoConfig,
     PreferenceTriple, ReplayBuffer, ReplayEntry,
 };
+pub use counters::{Counter, Counters};
 pub use dataset::{CostModel, Dataset, Sample};
 pub use encode::{fusion_group_key, group_by_key, SegmentedText};
 pub use engine::{
-    Engine, EngineConfig, Feedback, ItemPrediction, MemoStats, MetricValue, PredictInput,
-    PredictRequest, PredictResponse, Resolved, ServableModel, Session,
+    Engine, EngineConfig, Feedback, ItemPrediction, MetricValue, PredictInput, PredictRequest,
+    PredictResponse, Resolved, ServableModel, Session,
 };
 pub use error::Error;
 pub use fault::{silence_injected_panics, FaultAction, FaultPlan, FAULT_MARKER};
@@ -77,10 +79,8 @@ pub use model::{
 };
 pub use numeric::{beam_search, BeamHypothesis, DigitCodec, DigitDistribution};
 pub use online::{
-    abs_rel_error, route_key, AbRouter, CalibrationConfig, CalibrationMeta, CalibrationStats,
-    Calibrator, CalibratorCore, FeedbackQueue, ModelScorecard, Scoreboard,
+    abs_rel_error, route_key, AbRouter, CalibrationConfig, CalibrationMeta, Calibrator,
+    CalibratorCore, FeedbackQueue, ModelScorecard, Scoreboard,
 };
 pub use persist::{PersistError, FORMAT_VERSION, MIN_FORMAT_VERSION};
-pub use serve_pool::{
-    LatencyHistogram, LatencySummary, PoolConfig, PoolStats, ServeJob, ServePool,
-};
+pub use serve_pool::{LatencyHistogram, LatencySummary, PoolConfig, ServeJob, ServePool};

@@ -31,6 +31,7 @@
 //! model deltas under a fixed seed.
 
 use crate::calibrate::{DpoCalibrator, DpoConfig, PreferenceTriple};
+use crate::counters::Counter;
 use crate::engine::Engine;
 use crate::error::Error;
 use crate::model::NumericPredictor;
@@ -388,47 +389,6 @@ pub fn abs_rel_error(actual: f64, predicted: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Calibration counters + stats
-// ---------------------------------------------------------------------------
-
-/// Lifetime counters of the calibration subsystem, owned by the engine so
-/// any stats surface can read them without reaching into the worker.
-#[derive(Debug, Default)]
-pub struct CalibrationCounters {
-    /// DPO gradient steps applied.
-    pub updates: AtomicU64,
-    /// Calibrated models published into the registry (hot swaps).
-    pub hot_swaps: AtomicU64,
-    /// Guardrail demotions (variant swapped back to the frozen reference).
-    pub rolled_back: AtomicU64,
-    /// Checkpoints written.
-    pub checkpoints: AtomicU64,
-    /// Checkpoint writes that failed (the worker keeps running).
-    pub checkpoint_errors: AtomicU64,
-}
-
-/// A point-in-time snapshot of the calibration subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CalibrationStats {
-    /// DPO gradient steps applied.
-    pub updates: u64,
-    /// Calibrated models hot-swapped into the registry.
-    pub hot_swaps: u64,
-    /// Guardrail demotions.
-    pub calibrations_rolled_back: u64,
-    /// Checkpoints written.
-    pub checkpoints: u64,
-    /// Failed checkpoint writes.
-    pub checkpoint_errors: u64,
-    /// Feedback triples currently queued.
-    pub queue_depth: usize,
-    /// Feedback triples accepted into the queue (lifetime).
-    pub feedback_accepted: u64,
-    /// Feedback triples dropped at a full queue (lifetime).
-    pub feedback_dropped: u64,
-}
-
-// ---------------------------------------------------------------------------
 // Persistence metadata
 // ---------------------------------------------------------------------------
 
@@ -561,10 +521,7 @@ impl CalibratorCore {
         if steps > 0 {
             self.steps_since_swap += steps;
             self.steps_since_checkpoint += steps;
-            self.engine
-                .calibration()
-                .updates
-                .fetch_add(steps, Ordering::Relaxed);
+            self.engine.counters().add(Counter::Updates, steps);
         }
         steps
     }
@@ -583,10 +540,7 @@ impl CalibratorCore {
     pub fn publish(&mut self) {
         self.engine
             .register_predictor(self.config.variant.clone(), self.model.clone());
-        self.engine
-            .calibration()
-            .hot_swaps
-            .fetch_add(1, Ordering::Relaxed);
+        self.engine.counters().add(Counter::HotSwaps, 1);
         self.steps_since_swap = 0;
     }
 
@@ -616,9 +570,8 @@ impl CalibratorCore {
             .register_predictor(self.config.variant.clone(), self.model.clone());
         self.engine.scoreboard().reset_window(&self.config.variant);
         self.engine
-            .calibration()
-            .rolled_back
-            .fetch_add(1, Ordering::Relaxed);
+            .counters()
+            .add(Counter::CalibrationsRolledBack, 1);
         self.steps_since_swap = 0;
         true
     }
@@ -635,17 +588,17 @@ impl CalibratorCore {
         let Some(path) = self.config.checkpoint_path.clone() else {
             return Ok(false);
         };
-        let counters = self.engine.calibration();
+        let counters = self.engine.counters();
         let meta = CalibrationMeta {
-            updates: counters.updates.load(Ordering::Relaxed),
-            hot_swaps: counters.hot_swaps.load(Ordering::Relaxed),
+            updates: counters.get(Counter::Updates),
+            hot_swaps: counters.get(Counter::HotSwaps),
             source: self.config.incumbent.clone(),
         };
         self.model.save_calibrated(&path, &meta).map_err(|e| {
             Error::from(e).context(format!("cannot write checkpoint `{}`", path.display()))
         })?;
         self.steps_since_checkpoint = 0;
-        counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+        counters.add(Counter::Checkpoints, 1);
         Ok(true)
     }
 
@@ -666,10 +619,7 @@ impl CalibratorCore {
         self.maybe_swap();
         self.maybe_rollback();
         if self.maybe_checkpoint().is_err() {
-            self.engine
-                .calibration()
-                .checkpoint_errors
-                .fetch_add(1, Ordering::Relaxed);
+            self.engine.counters().add(Counter::CheckpointErrors, 1);
         }
         steps
     }
@@ -744,10 +694,7 @@ fn calibrator_loop(mut core: CalibratorCore) {
         core.publish();
     }
     if core.checkpoint().is_err() {
-        engine
-            .calibration()
-            .checkpoint_errors
-            .fetch_add(1, Ordering::Relaxed);
+        engine.counters().add(Counter::CheckpointErrors, 1);
     }
 }
 

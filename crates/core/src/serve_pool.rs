@@ -18,17 +18,19 @@
 //!   [`PoolConfig::max_queue`] is answered *immediately* with
 //!   [`Error::Overloaded`] instead of waiting. Clients see a structured
 //!   `overloaded` error object, never an unbounded hang, and the shed is
-//!   counted in [`PoolStats::shed`]. A local pipe, where pausing the reader
+//!   counted as [`Counter::Shed`]. A local pipe, where pausing the reader
 //!   loses nothing, submits through [`ServePool::submit_wait`] instead and
 //!   blocks until a worker frees space.
 //!
-//! Every completed request's latency (enqueue → response ready, measured
-//! with the monotonic [`Instant`] clock) lands in a [`LatencyHistogram`];
-//! [`ServePool::snapshot`] exposes the running p50/p90/p99/max for the
-//! `stats` wire request and the shutdown summary. [`ServePool::drain`]
-//! implements graceful shutdown: the queue closes (further submissions are
-//! shed), workers finish everything already accepted, and the final stats
-//! come back to the caller.
+//! The pool keeps only its queue. Every count it makes (served, errors,
+//! sheds, contained panics, respawns) and every completed request's latency
+//! (enqueue → response ready, monotonic [`Instant`] clock) go to the
+//! engine's one registry, [`Engine::counters`] (a [`LatencyHistogram`],
+//! defined here), which the `stats` wire request and the shutdown summary
+//! both read; [`ServePool::depth`] is the one live figure the pool itself
+//! reports. [`ServePool::drain`] implements
+//! graceful shutdown: the queue closes (further submissions are shed) and
+//! workers finish everything already accepted.
 //!
 //! # Fault isolation
 //!
@@ -39,13 +41,13 @@
 //!   and retries the batch items *singly*; the item that panics again is
 //!   answered with [`Error::Internal`] (kind `internal`) while its
 //!   batchmates still get their real answers. Contained panics are counted
-//!   in [`PoolStats::panics_contained`].
+//!   as [`Counter::PanicsContained`].
 //! * **Poison-proof queue** — no lock is ever held across model code, and
 //!   every `Mutex`/`Condvar` access recovers from poisoning (through the
 //!   crate's one `sync::unpoisoned` helper), so even an unexpected panic in a
 //!   completion callback cannot wedge `submit`/`drain`. A worker whose
-//!   serving loop dies is respawned with a fresh session and counted in
-//!   [`PoolStats::workers_respawned`].
+//!   serving loop dies is respawned with a fresh session and counted as
+//!   [`Counter::WorkersRespawned`].
 //! * **Deadlines** — a job may carry a per-request timeout
 //!   ([`ServeJob::timeout`], the `timeout_ms` wire field) or inherit
 //!   [`PoolConfig::default_timeout`]. Deadlines are enforced at dequeue:
@@ -53,7 +55,7 @@
 //!   [`Error::DeadlineExceeded`] (kind `deadline_exceeded`) and **never
 //!   executed** — which also makes drain complete promptly under an
 //!   expired backlog. Deadline sheds land in the latency histogram and in
-//!   [`PoolStats::deadline_shed`].
+//!   [`Counter::DeadlineShed`].
 //!
 //! All of it is testable deterministically: `start_with_faults` threads a
 //! [`FaultPlan`] into the pool, injecting panics, delays and forced errors
@@ -61,13 +63,13 @@
 //! time, so a single pipelined connection sees arrival index == request
 //! index).
 
+use crate::counters::Counter;
 use crate::engine::{Engine, PredictRequest, PredictResponse, Session};
 use crate::error::Error;
 use crate::fault::{injected_error_message, injected_panic_message, FaultAction, FaultPlan};
 use crate::sync::unpoisoned;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -280,33 +282,6 @@ impl std::fmt::Debug for ServeJob {
     }
 }
 
-/// Point-in-time serving statistics (see [`ServePool::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Successfully answered requests.
-    pub served: u64,
-    /// Requests answered with an error (excluding overload and deadline
-    /// sheds).
-    pub errors: u64,
-    /// Requests shed with [`Error::Overloaded`].
-    pub shed: u64,
-    /// Panics caught and contained by the batch unwind guard. Counts every
-    /// caught panic event — a batch panic followed by its single-item
-    /// retry's panic counts twice.
-    pub panics_contained: u64,
-    /// Requests shed with [`Error::DeadlineExceeded`] because they expired
-    /// while queued.
-    pub deadline_shed: u64,
-    /// Worker threads respawned after their serving loop died (e.g. a
-    /// panicking completion callback).
-    pub workers_respawned: u64,
-    /// Jobs currently waiting in the queue.
-    pub depth: usize,
-    /// Latency percentiles over every completed (served, errored or
-    /// deadline-shed) request, or `None` before the first completion.
-    pub latency: Option<LatencySummary>,
-}
-
 struct QueueState {
     jobs: VecDeque<ServeJob>,
     closed: bool,
@@ -322,13 +297,6 @@ struct PoolShared {
     /// wakes [`ServePool::submit_wait`] callers.
     space: Condvar,
     config: PoolConfig,
-    served: AtomicU64,
-    errors: AtomicU64,
-    shed: AtomicU64,
-    panics_contained: AtomicU64,
-    deadline_shed: AtomicU64,
-    respawned: AtomicU64,
-    histogram: Mutex<LatencyHistogram>,
     faults: FaultPlan,
 }
 
@@ -380,13 +348,6 @@ impl ServePool {
             available: Condvar::new(),
             space: Condvar::new(),
             config,
-            served: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            panics_contained: AtomicU64::new(0),
-            deadline_shed: AtomicU64::new(0),
-            respawned: AtomicU64::new(0),
-            histogram: Mutex::new(LatencyHistogram::new()),
             faults,
         });
         let workers = (0..config.workers)
@@ -403,8 +364,8 @@ impl ServePool {
         }
     }
 
-    /// The engine this pool serves — transports reach the calibration
-    /// surface (scoreboards, feedback queue, swap counters) through here.
+    /// The engine this pool serves — transports reach its counter registry
+    /// and calibration surface (scoreboards, feedback queue) through here.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
     }
@@ -451,52 +412,31 @@ impl ServePool {
             }
         };
         // Shed outside the lock: the callback may serialize/send.
-        self.shared.shed.fetch_add(1, Ordering::Relaxed);
+        self.engine.counters().add(Counter::Shed, 1);
         let latency = job_latency(&job);
         (job.complete)(Err(error), latency);
     }
 
-    /// Current counters, queue depth and latency percentiles.
-    pub fn snapshot(&self) -> PoolStats {
-        stats_snapshot(&self.shared)
-    }
-
-    /// A copy of the full latency histogram (for reporting beyond the
-    /// fixed percentile summary).
-    pub fn histogram(&self) -> LatencyHistogram {
-        unpoisoned(self.shared.histogram.lock()).clone()
+    /// Jobs currently waiting in the queue.
+    pub fn depth(&self) -> usize {
+        unpoisoned(self.shared.queue.lock()).jobs.len()
     }
 
     /// Graceful drain: closes the queue (later submissions are shed with a
     /// draining [`Error::Overloaded`]), lets the workers finish every job
     /// already accepted — jobs that expired while queued are answered
     /// `deadline_exceeded` instead of executed, so a drain under backlog
-    /// completes promptly — joins them and returns the final statistics.
-    pub fn drain(self) -> PoolStats {
+    /// completes promptly — and joins them. Afterwards the pool only sheds.
+    pub fn drain(&mut self) {
         {
             let mut queue = unpoisoned(self.shared.queue.lock());
             queue.closed = true;
             self.shared.available.notify_all();
             self.shared.space.notify_all();
         }
-        for worker in self.workers {
+        for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        stats_snapshot(&self.shared)
-    }
-}
-
-/// Builds a [`PoolStats`] from the shared counters.
-fn stats_snapshot(shared: &PoolShared) -> PoolStats {
-    PoolStats {
-        served: shared.served.load(Ordering::Relaxed),
-        errors: shared.errors.load(Ordering::Relaxed),
-        shed: shared.shed.load(Ordering::Relaxed),
-        panics_contained: shared.panics_contained.load(Ordering::Relaxed),
-        deadline_shed: shared.deadline_shed.load(Ordering::Relaxed),
-        workers_respawned: shared.respawned.load(Ordering::Relaxed),
-        depth: unpoisoned(shared.queue.lock()).jobs.len(),
-        latency: unpoisoned(shared.histogram.lock()).summary(),
     }
 }
 
@@ -516,9 +456,7 @@ fn worker_loop(engine: &Engine, shared: &PoolShared) {
         let outcome = catch_unwind(AssertUnwindSafe(|| worker_serve(engine, shared)));
         match outcome {
             Ok(()) => return, // clean exit: closed and fully drained
-            Err(_) => {
-                shared.respawned.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => engine.counters().add(Counter::WorkersRespawned, 1),
         }
     }
 }
@@ -547,7 +485,7 @@ fn worker_serve(engine: &Engine, shared: &PoolShared) {
                         waited_ms: waited.as_millis().min(u128::from(u64::MAX)) as u64,
                         timeout_ms: timeout.as_millis().min(u128::from(u64::MAX)) as u64,
                     };
-                    finish_job(engine, shared, job.complete, job.enqueued, Err(error));
+                    finish_job(engine, job.complete, job.enqueued, Err(error));
                     continue;
                 }
             }
@@ -563,7 +501,7 @@ fn worker_serve(engine: &Engine, shared: &PoolShared) {
                 // executed.
                 Some(FaultAction::Error) => {
                     let error = Error::Internal(injected_error_message(job.arrival));
-                    finish_job(engine, shared, job.complete, job.enqueued, Err(error));
+                    finish_job(engine, job.complete, job.enqueued, Err(error));
                 }
                 _ => live.push(job),
             }
@@ -618,11 +556,11 @@ fn execute_batch<'e>(
     match outcome {
         Ok(results) => {
             for (result, (complete, enqueued, _)) in results.into_iter().zip(metas) {
-                finish_job(engine, shared, complete, enqueued, result);
+                finish_job(engine, complete, enqueued, result);
             }
         }
         Err(_) => {
-            shared.panics_contained.fetch_add(1, Ordering::Relaxed);
+            engine.counters().add(Counter::PanicsContained, 1);
             *session = engine.session();
             if requests.len() == 1 {
                 // A lone request panicking needs no retry to be isolated.
@@ -633,7 +571,7 @@ fn execute_batch<'e>(
                     "request panicked during execution (arrival {at}); \
                      the panic was contained"
                 ));
-                finish_job(engine, shared, complete, enqueued, Err(error));
+                finish_job(engine, complete, enqueued, Err(error));
                 return;
             }
             for (request, (complete, enqueued, at)) in requests.into_iter().zip(metas) {
@@ -647,7 +585,7 @@ fn execute_batch<'e>(
                 let result = match outcome {
                     Ok(result) => result,
                     Err(_) => {
-                        shared.panics_contained.fetch_add(1, Ordering::Relaxed);
+                        engine.counters().add(Counter::PanicsContained, 1);
                         *session = engine.session();
                         Err(Error::Internal(format!(
                             "request panicked during execution (arrival {at}); \
@@ -655,7 +593,7 @@ fn execute_batch<'e>(
                         )))
                     }
                 };
-                finish_job(engine, shared, complete, enqueued, result);
+                finish_job(engine, complete, enqueued, result);
             }
         }
     }
@@ -675,29 +613,25 @@ fn fire_injected_panics(faults: &FaultPlan, arrivals: &[u64]) {
 /// Completes one job: classify the result into the served / errors /
 /// deadline-shed counters, record its latency (globally and, for
 /// successes, on the answering model's scorecard — this is what makes
-/// per-model `ok_requests` reconcile with the pool's `served` counter),
-/// run the callback.
+/// per-model `ok_requests` reconcile with the `served` counter), then run
+/// the callback, so a reply is never visible before its count.
 fn finish_job(
     engine: &Engine,
-    shared: &PoolShared,
     complete: CompleteFn,
     enqueued: Instant,
     result: Result<PredictResponse, Error>,
 ) {
     let latency = enqueued.elapsed();
-    match &result {
+    let counter = match &result {
         Ok(resp) => {
-            shared.served.fetch_add(1, Ordering::Relaxed);
             engine.scoreboard().record_ok(&resp.model, latency);
+            Counter::Served
         }
-        Err(e) if e.kind() == "deadline_exceeded" => {
-            shared.deadline_shed.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(_) => {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-        }
+        Err(e) if e.kind() == "deadline_exceeded" => Counter::DeadlineShed,
+        Err(_) => Counter::Errors,
     };
-    unpoisoned(shared.histogram.lock()).record(latency);
+    engine.counters().add(counter, 1);
+    engine.counters().record_latency(latency);
     complete(result, latency);
 }
 
@@ -708,6 +642,7 @@ mod tests {
     use crate::model::{ModelScale, NumericPredictor, PredictorConfig};
     use crate::numeric::DigitCodec;
     use llmulator_token::NumericMode;
+    use std::sync::atomic::Ordering;
     use std::sync::mpsc;
 
     fn pool_engine() -> Arc<Engine> {
@@ -723,6 +658,11 @@ mod tests {
             }),
         );
         Arc::new(engine)
+    }
+
+    /// Reads one counter off the engine the pool serves.
+    fn count(pool: &ServePool, counter: Counter) -> u64 {
+        pool.engine().counters().get(counter)
     }
 
     #[test]
@@ -811,7 +751,7 @@ mod tests {
     #[test]
     fn pool_serves_batches_and_drains_cleanly() {
         let engine = pool_engine();
-        let pool = ServePool::start(
+        let mut pool = ServePool::start(
             engine,
             PoolConfig {
                 workers: 2,
@@ -835,12 +775,16 @@ mod tests {
         done.sort_by_key(|(i, _, _)| *i);
         assert_eq!(done.len(), 10, "every job completed exactly once");
         assert!(done.iter().all(|(_, ok, _)| *ok));
-        let stats = pool.drain();
-        assert_eq!(stats.served, 10);
-        assert_eq!(stats.errors, 0);
-        assert_eq!(stats.shed, 0);
-        assert_eq!(stats.depth, 0);
-        let latency = stats.latency.expect("latencies recorded");
+        pool.drain();
+        assert_eq!(count(&pool, Counter::Served), 10);
+        assert_eq!(count(&pool, Counter::Errors), 0);
+        assert_eq!(count(&pool, Counter::Shed), 0);
+        assert_eq!(pool.depth(), 0);
+        let latency = pool
+            .engine()
+            .counters()
+            .latency()
+            .expect("latencies recorded");
         assert_eq!(latency.count, 10);
         assert!(latency.p50_micros <= latency.max_micros);
     }
@@ -848,7 +792,7 @@ mod tests {
     #[test]
     fn pool_answers_request_errors_without_poisoning_the_batch() {
         let engine = pool_engine();
-        let pool = ServePool::start(engine, PoolConfig::default());
+        let mut pool = ServePool::start(engine, PoolConfig::default());
         let (tx, rx) = mpsc::channel();
         for (i, request) in [
             PredictRequest::tokens(vec![1, 2]),
@@ -869,14 +813,21 @@ mod tests {
         assert!(done[0].1.is_ok());
         assert_eq!(done[1].1.as_ref().expect_err("unknown"), &"unknown_model");
         assert!(done[2].1.is_ok());
-        let stats = pool.drain();
-        assert_eq!((stats.served, stats.errors, stats.shed), (2, 1, 0));
+        pool.drain();
+        assert_eq!(
+            (
+                count(&pool, Counter::Served),
+                count(&pool, Counter::Errors),
+                count(&pool, Counter::Shed)
+            ),
+            (2, 1, 0)
+        );
     }
 
     #[test]
     fn full_queue_sheds_with_a_structured_overloaded_error() {
         let engine = pool_engine();
-        let pool = ServePool::start(
+        let mut pool = ServePool::start(
             engine,
             PoolConfig {
                 workers: 1,
@@ -902,7 +853,7 @@ mod tests {
             ));
         }
         // Wait until the worker has picked up the gate job (queue empty).
-        while pool.snapshot().depth > 0 {
+        while pool.depth() > 0 {
             std::thread::yield_now();
         }
         // Two fit in the queue; the third and fourth are shed immediately.
@@ -923,7 +874,7 @@ mod tests {
             assert!(tag.starts_with("shed"), "{tag} shed first");
             assert_eq!(result.as_ref().expect_err("shed"), &"overloaded");
         }
-        assert_eq!(pool.snapshot().shed, 2);
+        assert_eq!(count(&pool, Counter::Shed), 2);
         release_tx.send(()).expect("release");
         drop(done_tx);
         let rest: Vec<_> = done_rx.iter().collect();
@@ -931,14 +882,17 @@ mod tests {
         assert!(rest
             .iter()
             .all(|(_, r)| r.is_ok() || *r == Err("overloaded")));
-        let stats = pool.drain();
-        assert_eq!(stats.shed, 2);
-        assert_eq!(stats.served + stats.errors, 3);
+        pool.drain();
+        assert_eq!(count(&pool, Counter::Shed), 2);
+        assert_eq!(
+            count(&pool, Counter::Served) + count(&pool, Counter::Errors),
+            3
+        );
     }
 
     #[test]
     fn submit_wait_blocks_on_a_full_queue_instead_of_shedding() {
-        let pool = ServePool::start(
+        let mut pool = ServePool::start(
             pool_engine(),
             PoolConfig {
                 workers: 1,
@@ -964,7 +918,7 @@ mod tests {
                 release_rx.recv().expect("released");
             },
         ));
-        while pool.snapshot().depth > 0 {
+        while pool.depth() > 0 {
             std::thread::yield_now();
         }
         pool.submit(job("queued"));
@@ -982,17 +936,17 @@ mod tests {
             release_tx.send(()).expect("release");
         });
         assert!(submitted.load(Ordering::SeqCst));
-        let stats = pool.drain();
+        pool.drain();
         drop(done_tx);
         let done: Vec<_> = done_rx.iter().map(|(tag, r)| (tag, r.is_ok())).collect();
         assert_eq!(done, vec![("queued", true), ("waited", true)]);
-        assert_eq!(stats.shed, 0);
+        assert_eq!(count(&pool, Counter::Shed), 0);
     }
 
     #[test]
     fn draining_pool_sheds_new_submissions_but_finishes_accepted_ones() {
         let engine = pool_engine();
-        let pool = ServePool::start(
+        let mut pool = ServePool::start(
             engine,
             PoolConfig {
                 workers: 1,
@@ -1011,9 +965,13 @@ mod tests {
                 },
             ));
         }
-        let stats = pool.drain();
-        assert_eq!(stats.served, 6, "drain completes accepted in-flight work");
-        assert_eq!(stats.depth, 0);
+        pool.drain();
+        assert_eq!(
+            count(&pool, Counter::Served),
+            6,
+            "drain completes accepted in-flight work"
+        );
+        assert_eq!(pool.depth(), 0);
         drop(tx);
         assert_eq!(rx.iter().filter(|ok| *ok).count(), 6);
     }
@@ -1023,7 +981,7 @@ mod tests {
         crate::fault::silence_injected_panics();
         let engine = pool_engine();
         // Arrival index 1 panics; 0 and 2 must still get real answers.
-        let pool = ServePool::start_with_faults(
+        let mut pool = ServePool::start_with_faults(
             engine,
             PoolConfig {
                 workers: 1,
@@ -1060,11 +1018,15 @@ mod tests {
         ));
         assert!(rx.recv().expect("answered"), "pool serves after a panic");
 
-        let stats = pool.drain();
-        assert!(stats.panics_contained >= 1, "{stats:?}");
-        assert_eq!(stats.served, 3);
-        assert_eq!(stats.errors, 1);
-        assert_eq!(stats.depth, 0);
+        pool.drain();
+        assert!(
+            count(&pool, Counter::PanicsContained) >= 1,
+            "{:?}",
+            pool.engine().counters()
+        );
+        assert_eq!(count(&pool, Counter::Served), 3);
+        assert_eq!(count(&pool, Counter::Errors), 1);
+        assert_eq!(pool.depth(), 0);
     }
 
     #[test]
@@ -1079,7 +1041,7 @@ mod tests {
                     .expect("oracle predicts")
             })
             .collect();
-        let pool = ServePool::start_with_faults(
+        let mut pool = ServePool::start_with_faults(
             engine,
             PoolConfig {
                 workers: 1,
@@ -1166,7 +1128,7 @@ mod tests {
         // The delayed plug keeps the single worker busy long enough for
         // the feedback request and the exploding baseline request to land
         // in one micro-batch (the assertions hold in any interleaving).
-        let pool = ServePool::start_with_faults(
+        let mut pool = ServePool::start_with_faults(
             Arc::clone(&engine),
             PoolConfig {
                 workers: 1,
@@ -1201,8 +1163,12 @@ mod tests {
         assert!(done[1].1.is_ok(), "the feedback request is served");
         assert_eq!(done[2].1.as_ref().expect_err("panicked"), &"internal");
 
-        let stats = pool.drain();
-        assert!(stats.panics_contained >= 1, "{stats:?}");
+        pool.drain();
+        assert!(
+            count(&pool, Counter::PanicsContained) >= 1,
+            "{:?}",
+            pool.engine().counters()
+        );
         assert_eq!(
             engine.feedback().accepted(),
             1,
@@ -1224,7 +1190,7 @@ mod tests {
     #[test]
     fn forced_error_faults_answer_internal_without_executing() {
         let engine = pool_engine();
-        let pool = ServePool::start_with_faults(
+        let mut pool = ServePool::start_with_faults(
             engine,
             PoolConfig::default(),
             FaultPlan::new().error_at(0),
@@ -1236,15 +1202,22 @@ mod tests {
         ));
         let err = rx.recv().expect("answered").expect_err("forced error");
         assert!(err.contains("fault injection"), "{err}");
-        let stats = pool.drain();
-        assert_eq!((stats.served, stats.errors), (0, 1));
-        assert_eq!(stats.panics_contained, 0, "no panic involved");
+        pool.drain();
+        assert_eq!(
+            (count(&pool, Counter::Served), count(&pool, Counter::Errors)),
+            (0, 1)
+        );
+        assert_eq!(
+            count(&pool, Counter::PanicsContained),
+            0,
+            "no panic involved"
+        );
     }
 
     #[test]
     fn expired_jobs_are_shed_at_dequeue_with_deadline_exceeded() {
         let engine = pool_engine();
-        let pool = ServePool::start(
+        let mut pool = ServePool::start(
             engine,
             PoolConfig {
                 workers: 1,
@@ -1267,7 +1240,7 @@ mod tests {
                 },
             ));
         }
-        while pool.snapshot().depth > 0 {
+        while pool.depth() > 0 {
             std::thread::yield_now();
         }
         // timeout 0 always counts as expired at dequeue; None never does.
@@ -1299,18 +1272,22 @@ mod tests {
                 ),
             }
         }
-        let stats = pool.drain();
-        assert_eq!(stats.deadline_shed, 2);
-        assert_eq!(stats.served, 2);
-        assert_eq!(stats.errors, 0, "deadline sheds are not errors");
-        let latency = stats.latency.expect("recorded");
+        pool.drain();
+        assert_eq!(count(&pool, Counter::DeadlineShed), 2);
+        assert_eq!(count(&pool, Counter::Served), 2);
+        assert_eq!(
+            count(&pool, Counter::Errors),
+            0,
+            "deadline sheds are not errors"
+        );
+        let latency = pool.engine().counters().latency().expect("recorded");
         assert_eq!(latency.count, 4, "deadline sheds land in the histogram");
     }
 
     #[test]
     fn default_timeout_applies_to_jobs_without_their_own() {
         let engine = pool_engine();
-        let pool = ServePool::start(
+        let mut pool = ServePool::start(
             engine,
             PoolConfig {
                 workers: 1,
@@ -1344,7 +1321,7 @@ mod tests {
     #[test]
     fn drain_sheds_expired_backlog_instead_of_executing_it() {
         let engine = pool_engine();
-        let pool = ServePool::start(
+        let mut pool = ServePool::start(
             engine,
             PoolConfig {
                 workers: 1,
@@ -1367,7 +1344,7 @@ mod tests {
                 },
             ));
         }
-        while pool.snapshot().depth > 0 {
+        while pool.depth() > 0 {
             std::thread::yield_now();
         }
         for i in 0..8u32 {
@@ -1381,10 +1358,14 @@ mod tests {
         }
         release_tx.send(()).expect("release");
         drop(done_tx);
-        let stats = pool.drain();
-        assert_eq!(stats.deadline_shed, 8, "backlog shed, not executed");
-        assert_eq!(stats.served, 1, "only the gate job ran");
-        assert_eq!(stats.depth, 0);
+        pool.drain();
+        assert_eq!(
+            count(&pool, Counter::DeadlineShed),
+            8,
+            "backlog shed, not executed"
+        );
+        assert_eq!(count(&pool, Counter::Served), 1, "only the gate job ran");
+        assert_eq!(pool.depth(), 0);
         assert_eq!(done_rx.iter().count(), 9, "all answered exactly once");
     }
 
@@ -1392,7 +1373,7 @@ mod tests {
     fn panicking_completion_callback_respawns_the_worker() {
         crate::fault::silence_injected_panics();
         let engine = pool_engine();
-        let pool = ServePool::start(
+        let mut pool = ServePool::start(
             engine,
             PoolConfig {
                 workers: 1,
@@ -1412,8 +1393,13 @@ mod tests {
             move |result, _| tx.send(result.is_ok()).expect("send"),
         ));
         assert!(rx.recv().expect("served"), "respawned worker serves");
-        let stats = pool.drain();
-        assert_eq!(stats.workers_respawned, 1, "{stats:?}");
+        pool.drain();
+        assert_eq!(
+            count(&pool, Counter::WorkersRespawned),
+            1,
+            "{:?}",
+            pool.engine().counters()
+        );
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl OpCensus {
     pub fn total_sites(&self) -> u64 {
         self.replicated_sites.values().sum()
     }
-
-    /// Total weighted dynamic ops across kinds.
-    pub fn total_weighted(&self) -> f64 {
-        self.weighted_ops.values().sum()
-    }
 }
 
 /// Walks `op` and produces its census under `hw` (which caps replication).

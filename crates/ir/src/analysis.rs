@@ -33,13 +33,6 @@ pub enum OperatorClass {
     ClassII,
 }
 
-impl OperatorClass {
-    /// True for Class II (input-dependent) operators.
-    pub fn is_input_dependent(self) -> bool {
-        matches!(self, OperatorClass::ClassII)
-    }
-}
-
 /// Taint attached to a value: which scalar parameters reach it, and whether
 /// raw array data reaches it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -98,21 +98,6 @@ impl BinOp {
         }
     }
 
-    /// True for comparison/logical operators, whose result is boolean.
-    pub fn is_predicate(self) -> bool {
-        matches!(
-            self,
-            BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-                | BinOp::Eq
-                | BinOp::Ne
-                | BinOp::And
-                | BinOp::Or
-        )
-    }
-
     /// All binary operators, in a stable order (used by generators).
     pub fn all() -> &'static [BinOp] {
         &[

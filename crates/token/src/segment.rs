@@ -23,13 +23,6 @@ pub enum SegmentKind {
     Think,
 }
 
-impl SegmentKind {
-    /// True for operator segments.
-    pub fn is_operator(self) -> bool {
-        matches!(self, SegmentKind::Operator(_))
-    }
-}
-
 /// A labelled half-open token range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Segment {

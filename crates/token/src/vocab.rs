@@ -91,14 +91,6 @@ impl Vocab {
         }
     }
 
-    /// Custom bucket counts.
-    pub fn with_buckets(ident_buckets: u32, number_buckets: u32) -> Vocab {
-        Vocab {
-            ident_buckets: ident_buckets.max(1),
-            number_buckets: number_buckets.max(1),
-        }
-    }
-
     /// Token id of a digit (0–9).
     ///
     /// # Panics

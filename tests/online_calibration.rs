@@ -11,9 +11,9 @@
 //! tests in `crates/core/src/online.rs` use.
 
 use llmulator::{
-    CalibrationConfig, Calibrator, CalibratorCore, DigitCodec, DpoConfig, Engine, EngineConfig,
-    Feedback, ModelScale, NumericPredictor, PoolConfig, PredictRequest, PredictorConfig, ServeJob,
-    ServePool,
+    CalibrationConfig, Calibrator, CalibratorCore, Counter, DigitCodec, DpoConfig, Engine,
+    EngineConfig, Feedback, ModelScale, NumericPredictor, PoolConfig, PredictRequest,
+    PredictorConfig, ServeJob, ServePool,
 };
 use llmulator_sim::Metric;
 use llmulator_token::NumericMode;
@@ -154,14 +154,21 @@ fn calibrated_variant_beats_the_frozen_incumbent_on_a_biased_stream() {
         engine.scoreboard().rolling_error("calibrated"),
         engine.scoreboard().rolling_error("default"),
     );
-    let stats = engine.calibration_stats();
-    assert!(stats.updates > 0, "gradient steps were applied");
-    assert!(stats.hot_swaps > 0, "calibrated models were published");
+    let count = |counter| engine.counters().get(counter);
+    assert!(count(Counter::Updates) > 0, "gradient steps were applied");
+    assert!(
+        count(Counter::HotSwaps) > 0,
+        "calibrated models were published"
+    );
     assert!(
         last_epoch > first_epoch,
         "responses attribute answers to a newer swap epoch: {first_epoch} -> {last_epoch}"
     );
-    assert_eq!(stats.calibrations_rolled_back, 0, "guardrail stayed quiet");
+    assert_eq!(
+        count(Counter::CalibrationsRolledBack),
+        0,
+        "guardrail stayed quiet"
+    );
 }
 
 /// ISSUE acceptance: hot swaps land while a serve pool is answering — no
@@ -171,7 +178,7 @@ fn calibrated_variant_beats_the_frozen_incumbent_on_a_biased_stream() {
 fn hot_swaps_never_fail_in_flight_requests() {
     let engine = Arc::new(EngineConfig::new().build());
     engine.register_predictor("default", tiny_predictor(3));
-    let pool = ServePool::start(
+    let mut pool = ServePool::start(
         Arc::clone(&engine),
         PoolConfig {
             workers: 2,
@@ -213,10 +220,10 @@ fn hot_swaps_never_fail_in_flight_requests() {
         ok += 1;
     }
     swapper.join().expect("swapper joins");
-    let stats = pool.drain();
+    pool.drain();
     assert_eq!(ok, total, "every request answered");
-    assert_eq!(stats.served, total as u64);
-    assert_eq!(stats.errors, 0);
+    assert_eq!(engine.counters().get(Counter::Served), total as u64);
+    assert_eq!(engine.counters().get(Counter::Errors), 0);
     assert!(
         engine.swap_epoch() >= 40,
         "the swaps actually happened: {}",
@@ -235,7 +242,7 @@ fn calibration_is_bit_identical_across_worker_counts() {
         let engine = Arc::new(EngineConfig::new().feedback_capacity(256).build());
         let start = tiny_predictor(7);
         engine.register_predictor("default", start.clone());
-        let pool = ServePool::start(
+        let mut pool = ServePool::start(
             Arc::clone(&engine),
             PoolConfig {
                 workers,
@@ -330,17 +337,20 @@ fn restart_from_checkpoint_resumes_bit_identical_predictions() {
     // Graceful shutdown: drains the queue, publishes, writes the final
     // checkpoint.
     calibrator.stop();
-    let stats = engine.calibration_stats();
-    assert!(stats.updates > 0, "feedback was ingested");
-    assert!(stats.checkpoints > 0, "a final checkpoint was written");
-    assert_eq!(stats.checkpoint_errors, 0);
+    let count = |counter| engine.counters().get(counter);
+    assert!(count(Counter::Updates) > 0, "feedback was ingested");
+    assert!(
+        count(Counter::Checkpoints) > 0,
+        "a final checkpoint was written"
+    );
+    assert_eq!(count(Counter::CheckpointErrors), 0);
     let (before, _) = cycles_value(&engine, "calibrated");
 
     // Second life: a fresh engine resumes from the checkpoint, exactly the
     // way `llmulator serve --calibrate` does on restart.
     let (resumed, meta) = NumericPredictor::load_calibrated(&checkpoint).expect("resumes");
     let meta = meta.expect("calibrated checkpoints carry provenance");
-    assert_eq!(meta.updates, stats.updates);
+    assert_eq!(meta.updates, count(Counter::Updates));
     assert_eq!(meta.source, "default");
     let engine2 = Arc::new(EngineConfig::new().feedback_capacity(256).build());
     engine2.register_predictor("default", tiny_predictor(19));

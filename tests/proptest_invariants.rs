@@ -687,7 +687,7 @@ proptest! {
     #[test]
     fn memoized_session_replies_match_fresh_sessions_across_hot_swaps(seed in 0u64..1000) {
         use llmulator::{
-            EngineConfig, Feedback, ModelScale, NumericPredictor, PredictInput, PredictRequest,
+            Counter, EngineConfig, Feedback, ModelScale, NumericPredictor, PredictInput, PredictRequest,
             PredictResponse, PredictorConfig,
         };
         use llmulator_sim::Metric;
@@ -817,7 +817,11 @@ proptest! {
                 prop_assert_eq!(bits(&reply), direct);
             }
         }
-        prop_assert!(engine.memo_stats().hits > 0, "{:?}", engine.memo_stats());
+        prop_assert!(
+            engine.counters().get(Counter::MemoHits) > 0,
+            "{:?}",
+            engine.counters()
+        );
     }
 }
 
@@ -1180,7 +1184,7 @@ proptest! {
         workers in 1usize..4, count in 1usize..12, seed in 0u64..200,
     ) {
         use llmulator::{
-            EngineConfig, Feedback, ModelScale, NumericPredictor, PoolConfig, PredictRequest,
+            Counter, EngineConfig, Feedback, ModelScale, NumericPredictor, PoolConfig, PredictRequest,
             PredictorConfig, ServeJob, ServePool,
         };
         use llmulator_sim::Metric;
@@ -1195,7 +1199,7 @@ proptest! {
             max_len: 16,
             seed,
         }));
-        let pool = ServePool::start(Arc::clone(&engine), PoolConfig {
+        let mut pool = ServePool::start(Arc::clone(&engine), PoolConfig {
             workers,
             max_batch: 4,
             max_queue: 64,
@@ -1222,13 +1226,14 @@ proptest! {
         }
         drop(tx);
         let ok_seen = rx.iter().filter(|&ok| ok).count() as u64;
-        let stats = pool.drain();
+        pool.drain();
+        let served = engine.counters().get(Counter::Served);
         prop_assert_eq!(ok_seen, count as u64, "every request answered ok");
-        prop_assert_eq!(stats.served, count as u64);
+        prop_assert_eq!(served, count as u64);
 
         let cards = engine.scoreboard().snapshot();
         let total_ok: u64 = cards.iter().map(|c| c.ok_requests).sum();
-        prop_assert_eq!(total_ok, stats.served, "scorecards cover every ok response");
+        prop_assert_eq!(total_ok, served, "scorecards cover every ok response");
         let default = cards.iter().find(|c| c.model == "default").expect("touched");
         prop_assert_eq!(default.ok_requests, count as u64);
         prop_assert_eq!(default.feedback_count, feedback_sent);

@@ -22,7 +22,7 @@
 //! run.
 
 use llmulator::{
-    silence_injected_panics, DigitCodec, Engine, EngineConfig, FaultPlan, ModelScale,
+    silence_injected_panics, Counter, DigitCodec, Engine, EngineConfig, FaultPlan, ModelScale,
     NumericPredictor, PoolConfig, PredictRequest, PredictorConfig, ServeJob, ServePool,
 };
 use llmulator_token::NumericMode;
@@ -117,7 +117,10 @@ proptest! {
             .collect();
 
         for workers in [1usize, 2, 4] {
-            let pool = ServePool::start_with_faults(
+            // A fresh engine (the same seed-11 model) per worker count, so
+            // its counters are this pool's alone.
+            let engine = chaos_engine();
+            let mut pool = ServePool::start_with_faults(
                 Arc::clone(&engine),
                 PoolConfig {
                     workers,
@@ -190,24 +193,25 @@ proptest! {
             );
 
             // Counters reconcile with the fates: nothing double-counted.
-            let stats = pool.drain();
+            pool.drain();
+            let count = |counter| engine.counters().get(counter);
             let panics = fates.iter().filter(|f| **f == Fate::Panic).count() as u64;
             let errors = fates.iter().filter(|f| **f == Fate::Error).count() as u64;
             let deadlines = fates.iter().filter(|f| **f == Fate::Deadline).count() as u64;
-            prop_assert_eq!(stats.deadline_shed, deadlines, "workers={}", workers);
-            prop_assert_eq!(stats.errors, panics + errors, "workers={}", workers);
+            prop_assert_eq!(count(Counter::DeadlineShed), deadlines, "workers={}", workers);
+            prop_assert_eq!(count(Counter::Errors), panics + errors, "workers={}", workers);
             prop_assert_eq!(
-                stats.served,
+                count(Counter::Served),
                 REQUESTS - panics - errors - deadlines + 1, // +1 liveness probe
                 "workers={}", workers
             );
             prop_assert!(
-                stats.panics_contained >= panics,
+                count(Counter::PanicsContained) >= panics,
                 "workers={}: every injected panic was contained (contained {}, injected {})",
-                workers, stats.panics_contained, panics
+                workers, count(Counter::PanicsContained), panics
             );
-            prop_assert_eq!(stats.shed, 0, "workers={}", workers);
-            prop_assert_eq!(stats.depth, 0, "workers={}", workers);
+            prop_assert_eq!(count(Counter::Shed), 0, "workers={}", workers);
+            prop_assert_eq!(pool.depth(), 0, "workers={}", workers);
         }
     }
 }
