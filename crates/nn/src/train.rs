@@ -64,12 +64,34 @@ pub fn par_map_init<T: Sync, R: Send, S>(
     })
 }
 
+/// Adds `grads` into `acc` by [`ParamId`]: a parameter already in `acc`
+/// sums in place, a new one is appended, so `acc` lists every parameter
+/// once in the order the tapes first registered it. When both lists name
+/// the same parameters in the same order (every tape of one model
+/// registers them alike), each gradient lands on its own position and no
+/// search runs.
+fn add_grads(acc: &mut Vec<(ParamId, Matrix)>, grads: Vec<(ParamId, Matrix)>) {
+    for (at, (pid, g)) in grads.into_iter().enumerate() {
+        let slot = match acc.get(at) {
+            Some((p, _)) if *p == pid => Some(at),
+            _ => acc.iter().position(|(p, _)| *p == pid),
+        };
+        match slot {
+            Some(s) => acc[s].1.add_assign(&g),
+            None => acc.push((pid, g)),
+        }
+    }
+}
+
 /// Builds per-example losses in parallel across threads and returns the mean
 /// loss plus summed parameter gradients.
 ///
 /// `build` must construct the forward pass and return the `1×1` loss node for
 /// one item. The parameter store is shared read-only across threads; a
-/// single thread runs inline on the caller's.
+/// single thread runs inline on the caller's. Tapes may register different
+/// parameters (DPO registers only the metric head a triple names): the sum
+/// is kept per [`ParamId`], and a parameter a tape did not register counts
+/// as a zero gradient for that item.
 pub fn batch_grads<T: Sync>(
     store: &ParamStore,
     items: &[T],
@@ -81,23 +103,15 @@ pub fn batch_grads<T: Sync>(
     }
     let piece_grads = |piece: &[T]| {
         let mut loss_sum = 0.0f32;
-        let mut grads: Option<Vec<(ParamId, Matrix)>> = None;
+        let mut grads = Vec::new();
         for item in piece {
             let mut g = Graph::new();
             let loss = build(&mut g, store, item);
             loss_sum += g.value(loss).get(0, 0);
             g.backward(loss);
-            let bg = g.param_grads();
-            match &mut grads {
-                None => grads = Some(bg),
-                Some(acc) => {
-                    for ((_, a), (_, b)) in acc.iter_mut().zip(bg) {
-                        a.add_assign(&b);
-                    }
-                }
-            }
+            add_grads(&mut grads, g.param_grads());
         }
-        (loss_sum, grads.unwrap_or_default())
+        (loss_sum, grads)
     };
     let threads = threads.clamp(1, items.len());
     let results: Vec<(f32, Vec<(ParamId, Matrix)>)> = if threads == 1 {
@@ -120,22 +134,11 @@ pub fn batch_grads<T: Sync>(
     };
 
     let mut total_loss = 0.0f32;
-    let mut acc: Option<Vec<(ParamId, Matrix)>> = None;
-    for (loss, grads) in results {
+    let mut grads = Vec::new();
+    for (loss, piece) in results {
         total_loss += loss;
-        if grads.is_empty() {
-            continue;
-        }
-        match &mut acc {
-            None => acc = Some(grads),
-            Some(a) => {
-                for ((_, x), (_, y)) in a.iter_mut().zip(grads) {
-                    x.add_assign(&y);
-                }
-            }
-        }
+        add_grads(&mut grads, piece);
     }
-    let mut grads = acc.unwrap_or_default();
     let inv = 1.0 / items.len() as f32;
     for (_, g) in &mut grads {
         g.scale_assign(inv);
@@ -165,6 +168,42 @@ mod tests {
             for (x, y) in a.data().iter().zip(b.data()) {
                 assert!((x - y).abs() < 1e-5);
             }
+        }
+    }
+
+    #[test]
+    fn tapes_with_different_params_sum_each_param_on_its_own() {
+        // Two items each register a shared parameter and one item-specific
+        // head, like DPO triples of different metrics.
+        let mut store = ParamStore::new();
+        let shared = store.add("shared", Matrix::from_vec(1, 2, vec![0.1, 0.3]));
+        let heads = [
+            store.add("head.a", Matrix::from_vec(1, 2, vec![0.9, -0.4])),
+            store.add("head.b", Matrix::from_vec(1, 2, vec![-0.2, 0.7])),
+        ];
+        fn build<'s>(g: &mut Graph<'s>, store: &'s ParamStore, item: &usize) -> NodeId {
+            let s = g.param(store, ParamId(0));
+            let h = g.param(store, ParamId(1 + *item));
+            let x = g.mul_elem(s, h);
+            g.cross_entropy(x, &[*item])
+        }
+        let single = |item: usize| {
+            let mut g = Graph::new();
+            let loss = build(&mut g, &store, &item);
+            g.backward(loss);
+            g.param_grads()
+        };
+        let (a, b) = (single(0), single(1));
+        for threads in [1, 2] {
+            let (_, grads) = batch_grads(&store, &[0usize, 1], threads, build);
+            let ids: Vec<ParamId> = grads.iter().map(|(p, _)| *p).collect();
+            assert_eq!(ids, [shared, heads[0], heads[1]], "threads={threads}");
+            let half = |m: &Matrix| m.data().iter().map(|v| v * 0.5).collect::<Vec<_>>();
+            assert_eq!(grads[1].1.data(), half(&a[1].1), "head.a alone");
+            assert_eq!(grads[2].1.data(), half(&b[1].1), "head.b alone");
+            let mut sum = a[0].1.clone();
+            sum.add_assign(&b[0].1);
+            assert_eq!(grads[0].1.data(), half(&sum), "shared summed");
         }
     }
 
