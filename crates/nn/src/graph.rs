@@ -18,6 +18,13 @@
 //! Values and parameter gradients are bit-identical to the per-head chain
 //! `slice_cols → matmul_nt → scale → add(mask) → softmax_rows → matmul →
 //! concat_cols`; the additive mask is a constant and gets no gradient.
+//!
+//! Element-wise forward ops and backward arms walk whole rows as slice
+//! zips rather than indexing each element, so the compiler vectorizes
+//! them. Each element keeps its expression and operand order, and column
+//! sums (bias and gain gradients, `mean_rows`, the embedding gather's
+//! scatter-add) keep their row order, so the values and gradients are the
+//! same bits as an element-at-a-time loop.
 
 use crate::infer::attention_head;
 use crate::matrix::Matrix;
@@ -163,6 +170,21 @@ fn accum_slot(slot: &mut Option<Matrix>, g: Matrix) {
     }
 }
 
+/// `f(a, b)` element by element over two same-shape matrices, as one flat
+/// slice zip the compiler vectorizes.
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+fn zip_map(a: &Matrix, b: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+    assert_eq!(a.shape(), b.shape(), "element-wise shape mismatch");
+    let mut out = Matrix::zeros(a.rows(), a.cols());
+    for ((o, &x), &y) in out.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
+        *o = f(x, y);
+    }
+    out
+}
+
 /// `dst[:, off..off + src.cols()] += src`.
 fn add_cols_block(dst: &mut Matrix, off: usize, src: &Matrix) {
     for r in 0..src.rows() {
@@ -285,8 +307,7 @@ impl<'p> Graph<'p> {
 
     /// Element-wise product.
     pub fn mul_elem(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (aa, bb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        let v = Matrix::from_fn(bb.rows(), bb.cols(), |r, c| aa.get(r, c) * bb.get(r, c));
+        let v = zip_map(&self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| x * y);
         self.push(v, Op::MulElem(a, b))
     }
 
@@ -322,8 +343,8 @@ impl<'p> Graph<'p> {
             let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / cols as f32;
             let inv_std = 1.0 / (var + 1e-5).sqrt();
             stats.push((mean, inv_std));
-            for (c, &v) in row.iter().enumerate() {
-                out.set(r, c, (v - mean) * inv_std);
+            for (o, &v) in out.row_mut(r).iter_mut().zip(row) {
+                *o = (v - mean) * inv_std;
             }
         }
         self.push(out, Op::LayerNormRows { input: a, stats })
@@ -356,14 +377,8 @@ impl<'p> Graph<'p> {
     /// Mean over rows → `1×d`.
     pub fn mean_rows(&mut self, a: NodeId) -> NodeId {
         let x = &self.nodes[a.0].value;
-        let (rows, cols) = x.shape();
-        let mut v = Matrix::zeros(1, cols);
-        for r in 0..rows {
-            for (c, &val) in x.row(r).iter().enumerate() {
-                v.set(0, c, v.get(0, c) + val);
-            }
-        }
-        v.scale_assign(1.0 / rows.max(1) as f32);
+        let mut v = Matrix::zeros(1, x.cols());
+        x.mean_rows_block_into(0, x.rows(), v.data_mut());
         self.push(v, Op::MeanRows(a))
     }
 
@@ -371,7 +386,8 @@ impl<'p> Graph<'p> {
     pub fn slice_cols(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
         let x = &self.nodes[a.0].value;
         assert!(start + len <= x.cols(), "slice out of range");
-        let v = Matrix::from_fn(x.rows(), len, |r, c| x.get(r, start + c));
+        let mut v = Matrix::zeros(0, 0);
+        x.gather_block_into(0, x.rows(), start, len, &mut v);
         self.push(v, Op::SliceCols { input: a, start })
     }
 
@@ -552,32 +568,33 @@ impl<'p> Graph<'p> {
                 Op::AddRow(a, row) => {
                     let mut grow = Matrix::zeros(1, g.cols());
                     for r in 0..g.rows() {
-                        for (c, &v) in g.row(r).iter().enumerate() {
-                            grow.set(0, c, grow.get(0, c) + v);
+                        for (o, &v) in grow.data_mut().iter_mut().zip(g.row(r)) {
+                            *o += v;
                         }
                     }
                     accum_slot(&mut lower[a.0], g.clone());
                     accum_slot(&mut lower[row.0], grow);
                 }
                 Op::MulRow(a, row) => {
-                    let rvals = &nodes[row.0].value;
+                    let rvals = nodes[row.0].value.row(0);
                     let avals = &nodes[a.0].value;
-                    let ga =
-                        Matrix::from_fn(g.rows(), g.cols(), |r, c| g.get(r, c) * rvals.get(0, c));
+                    let mut ga = Matrix::zeros(g.rows(), g.cols());
                     let mut grow = Matrix::zeros(1, g.cols());
                     for r in 0..g.rows() {
-                        for c in 0..g.cols() {
-                            grow.set(0, c, grow.get(0, c) + g.get(r, c) * avals.get(r, c));
+                        for ((o, &gv), &rv) in ga.row_mut(r).iter_mut().zip(g.row(r)).zip(rvals) {
+                            *o = gv * rv;
+                        }
+                        let lanes = grow.data_mut().iter_mut().zip(g.row(r)).zip(avals.row(r));
+                        for ((o, &gv), &av) in lanes {
+                            *o += gv * av;
                         }
                     }
                     accum_slot(&mut lower[a.0], ga);
                     accum_slot(&mut lower[row.0], grow);
                 }
                 Op::MulElem(a, b) => {
-                    let bv = &nodes[b.0].value;
-                    let av = &nodes[a.0].value;
-                    let ga = Matrix::from_fn(g.rows(), g.cols(), |r, c| g.get(r, c) * bv.get(r, c));
-                    let gb = Matrix::from_fn(g.rows(), g.cols(), |r, c| g.get(r, c) * av.get(r, c));
+                    let ga = zip_map(g, &nodes[b.0].value, |gv, bv| gv * bv);
+                    let gb = zip_map(g, &nodes[a.0].value, |gv, av| gv * av);
                     accum_slot(&mut lower[a.0], ga);
                     accum_slot(&mut lower[b.0], gb);
                 }
@@ -588,13 +605,7 @@ impl<'p> Graph<'p> {
                 }
                 Op::Relu(a) => {
                     let x = &nodes[a.0].value;
-                    let ga = Matrix::from_fn(g.rows(), g.cols(), |r, c| {
-                        if x.get(r, c) > 0.0 {
-                            g.get(r, c)
-                        } else {
-                            0.0
-                        }
-                    });
+                    let ga = zip_map(g, x, |gv, xv| if xv > 0.0 { gv } else { 0.0 });
                     accum_slot(&mut lower[a.0], ga);
                 }
                 Op::SoftmaxRows(a) => {
@@ -607,8 +618,9 @@ impl<'p> Graph<'p> {
                             .zip(y.row(r))
                             .map(|(&gv, &yv)| gv * yv)
                             .sum();
-                        for c in 0..g.cols() {
-                            ga.set(r, c, y.get(r, c) * (g.get(r, c) - dot));
+                        let lanes = ga.row_mut(r).iter_mut().zip(g.row(r)).zip(y.row(r));
+                        for ((o, &gv), &yv) in lanes {
+                            *o = yv * (gv - dot);
                         }
                     }
                     accum_slot(&mut lower[a.0], ga);
@@ -627,9 +639,9 @@ impl<'p> Graph<'p> {
                             .map(|(&gv, &yv)| gv * yv)
                             .sum::<f32>()
                             / cols;
-                        for c in 0..g.cols() {
-                            let v = inv_std * (g.get(r, c) - g_mean - y.get(r, c) * gy_mean);
-                            ga.set(r, c, v);
+                        let lanes = ga.row_mut(r).iter_mut().zip(g.row(r)).zip(y.row(r));
+                        for ((o, &gv), &yv) in lanes {
+                            *o = inv_std * (gv - g_mean - yv * gy_mean);
                         }
                     }
                     accum_slot(&mut lower[input.0], ga);
@@ -638,8 +650,8 @@ impl<'p> Graph<'p> {
                     let t = &nodes[table.0].value;
                     let mut gt = Matrix::zeros(t.rows(), t.cols());
                     for (r, &id) in ids.iter().enumerate() {
-                        for (c, &v) in g.row(r).iter().enumerate() {
-                            gt.set(id, c, gt.get(id, c) + v);
+                        for (o, &v) in gt.row_mut(id).iter_mut().zip(g.row(r)) {
+                            *o += v;
                         }
                     }
                     accum_slot(&mut lower[table.0], gt);
@@ -647,24 +659,25 @@ impl<'p> Graph<'p> {
                 Op::MeanRows(a) => {
                     let rows = nodes[a.0].value.rows();
                     let inv = 1.0 / rows.max(1) as f32;
-                    let ga = Matrix::from_fn(rows, g.cols(), |_, c| g.get(0, c) * inv);
+                    let grow: Vec<f32> = g.row(0).iter().map(|&v| v * inv).collect();
+                    let mut ga = Matrix::zeros(rows, g.cols());
+                    for r in 0..rows {
+                        ga.row_mut(r).copy_from_slice(&grow);
+                    }
                     accum_slot(&mut lower[a.0], ga);
                 }
                 Op::SliceCols { input, start } => {
                     let x = &nodes[input.0].value;
                     let mut ga = Matrix::zeros(x.rows(), x.cols());
-                    for r in 0..g.rows() {
-                        for c in 0..g.cols() {
-                            ga.set(r, start + c, g.get(r, c));
-                        }
-                    }
+                    ga.scatter_block_from(0, *start, g);
                     accum_slot(&mut lower[input.0], ga);
                 }
                 Op::ConcatCols(parts) => {
                     let mut off = 0;
                     for p in parts {
                         let cols = nodes[p.0].value.cols();
-                        let gp = Matrix::from_fn(g.rows(), cols, |r, c| g.get(r, off + c));
+                        let mut gp = Matrix::zeros(0, 0);
+                        g.gather_block_into(0, g.rows(), off, cols, &mut gp);
                         accum_slot(&mut lower[p.0], gp);
                         off += cols;
                     }
@@ -683,18 +696,13 @@ impl<'p> Graph<'p> {
                     accum_slot(&mut lower[logits.0], gl);
                 }
                 Op::Sigmoid(a) => {
-                    let y = &nodes[i].value;
-                    let ga = Matrix::from_fn(g.rows(), g.cols(), |r, c| {
-                        let yv = y.get(r, c);
-                        g.get(r, c) * yv * (1.0 - yv)
-                    });
+                    let ga = zip_map(g, &nodes[i].value, |gv, yv| gv * yv * (1.0 - yv));
                     accum_slot(&mut lower[a.0], ga);
                 }
                 Op::LogSigmoid(a) => {
-                    let x = &nodes[a.0].value;
-                    let ga = Matrix::from_fn(g.rows(), g.cols(), |r, c| {
-                        let s = 1.0 / (1.0 + x.get(r, c).exp());
-                        g.get(r, c) * s
+                    let ga = zip_map(g, &nodes[a.0].value, |gv, xv| {
+                        let s = 1.0 / (1.0 + xv.exp());
+                        gv * s
                     });
                     accum_slot(&mut lower[a.0], ga);
                 }

@@ -6,13 +6,18 @@
 //! The crate provides:
 //!
 //! * [`Matrix`] — dense `f32` matrices with blocked, allocation-free matmul
-//!   kernels (bit-identical to the naive `*_naive` test oracles),
+//!   kernels (bit-identical to the naive `*_naive` test oracles); on x86-64
+//!   hosts with AVX2 the GEMM runs an AVX2-compiled copy of the same body,
+//!   chosen at run time. Only `avx2` is enabled, never `fma`, and rustc
+//!   never contracts a multiply-add, so each element rounds the same way
+//!   and the output bits do not depend on the host,
 //! * [`Scratch`] — a reusable buffer arena keeping steady-state inference
 //!   free of heap allocation,
 //! * [`Graph`] — a tape-based reverse-mode autodiff engine (gradient-checked
 //!   against finite differences in the test suite) whose parameter leaves
 //!   borrow the [`ParamStore`] and whose `param_grads` consumes the tape,
-//!   so a step copies no weights,
+//!   so a step copies no weights; its element-wise ops run as row-slice
+//!   zips the compiler vectorizes, each element keeping its expression,
 //! * [`Transformer`] — a pre-norm encoder with *pluggable additive attention
 //!   masks* (the hook for LLMulator's dynamic control-flow separation),
 //! * [`infer::forward_packed`] / [`infer::forward`] — the production
@@ -27,7 +32,8 @@
 //!   prediction acceleration), bit-identical to [`infer::forward`],
 //! * [`AdamW`] — decoupled-weight-decay optimizer,
 //! * [`train::batch_grads`] / [`train::par_map`] — parallel mini-batch
-//!   gradient accumulation and a generic scoped-thread map.
+//!   gradient accumulation (summed per parameter id, so tapes may register
+//!   different parameters) and a generic scoped-thread map.
 //!
 //! ```
 //! use llmulator_nn::{Graph, ParamStore, Transformer, TransformerConfig};

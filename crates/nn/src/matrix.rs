@@ -11,6 +11,17 @@
 //! and an add into an FMA, so the tiling cannot change rounding. The naive
 //! loops survive as `*_naive` test oracles; they skip no term, so they
 //! agree with the kernels on zeros, infinities and NaN too.
+//!
+//! The crates build for the baseline instruction set (SSE2 on x86-64), so
+//! the tile body is compiled twice: once as is, and once inside a
+//! `#[target_feature(enable = "avx2")]` function, where a tile row's eight
+//! accumulators fit one 256-bit register. `gemm` picks the AVX2 copy at
+//! run time when `is_x86_feature_detected!("avx2")` is true; other targets
+//! compile only the portable body. It is one body, with no intrinsics, and
+//! only `avx2` is enabled, never `fma`: vector lanes round each multiply
+//! and each add exactly as scalar code does, and the `k` order per element
+//! is unchanged, so both copies give the same bits on every host. Nothing
+//! selects the path but the CPU.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -98,11 +109,52 @@ fn gemm_tile<const R: usize, const TRANS_A: bool>(
 }
 
 /// `c = op(a) × b` (see [`gemm_tile`] for the layouts), every element
-/// assigned. Full 4×8 tiles first; rows past the last group of four run
-/// the same tile one row at a time, and columns past the last multiple of
-/// eight run a scalar dot. Every element is `0.0 + a₀b₀ + a₁b₁ + …` in `k`
-/// order.
+/// assigned, on the widest instruction set the host has: [`gemm_avx2`]
+/// when the CPU reports AVX2 (std caches the detection), else
+/// [`gemm_portable`]. Both run the same body, so the output bits do not
+/// depend on the host.
 fn gemm<const TRANS_A: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kdim: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `gemm_avx2` requires only the `avx2` target feature, and
+        // the check above has just confirmed the running CPU supports it.
+        unsafe { gemm_avx2::<TRANS_A>(a, b, c, m, kdim, n) };
+        return;
+    }
+    gemm_portable::<TRANS_A>(a, b, c, m, kdim, n);
+}
+
+/// [`gemm_portable`] compiled with AVX2 enabled: the tile's 8-column rows
+/// become one 256-bit multiply and one add per `k` step. FMA stays
+/// disabled, and rustc never contracts `a * b + c` into one anyway, so
+/// every element still rounds each product and each sum on its own.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2<const TRANS_A: bool>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    kdim: usize,
+    n: usize,
+) {
+    gemm_portable::<TRANS_A>(a, b, c, m, kdim, n);
+}
+
+/// The one GEMM body, for the baseline instruction set or inlined into
+/// [`gemm_avx2`]. Full 4×8 tiles first; rows past the last group of four
+/// run the same tile one row at a time, and columns past the last multiple
+/// of eight run a scalar dot. Every element is `0.0 + a₀b₀ + a₁b₁ + …` in
+/// `k` order.
+#[inline(always)]
+fn gemm_portable<const TRANS_A: bool>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    kdim: usize,
+    n: usize,
+) {
     let n_tiled = n - n % TILE_COLS;
     let mut i = 0;
     while i + TILE_ROWS <= m {
@@ -687,6 +739,43 @@ mod tests {
                 at.matmul_tn_naive(&b).data(),
                 "tn {m}x{k}x{n}"
             );
+        }
+    }
+
+    #[test]
+    fn dispatched_gemm_is_bit_identical_to_the_portable_body() {
+        // Random shapes hit every `m % 4` and `n % 8` remainder at each
+        // depth; on a host without AVX2 both sides run the portable body.
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut out = Matrix::zeros(0, 0);
+        for &k in &[0, 1, 13, 32, 256] {
+            for mr in 0..TILE_ROWS {
+                for nr in 0..TILE_COLS {
+                    let m = TILE_ROWS * rng.gen_range(0..4) + mr;
+                    let n = TILE_COLS * rng.gen_range(0..4) + nr;
+                    let portable = |trans_a: bool, a: &Matrix, b: &Matrix| {
+                        let mut c = vec![f32::NAN; m * n];
+                        if trans_a {
+                            gemm_portable::<true>(a.data(), b.data(), &mut c, m, k, n);
+                        } else {
+                            gemm_portable::<false>(a.data(), b.data(), &mut c, m, k, n);
+                        }
+                        c
+                    };
+                    let a = Matrix::randn(m, k, 1.0, &mut rng);
+                    let b = Matrix::randn(k, n, 1.0, &mut rng);
+                    a.matmul_into(&b, &mut out);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let want = bits(&portable(false, &a, &b));
+                    assert_eq!(bits(out.data()), want, "nn {m}x{k}x{n}");
+                    a.matmul_nt_into(&b.transpose(), &mut out);
+                    assert_eq!(bits(out.data()), want, "nt {m}x{k}x{n}");
+                    let at = a.transpose();
+                    at.matmul_tn_into(&b, &mut out);
+                    let want = bits(&portable(true, &at, &b));
+                    assert_eq!(bits(out.data()), want, "tn {m}x{k}x{n}");
+                }
+            }
         }
     }
 
