@@ -11,9 +11,10 @@
 //! 3. **Train step** — one autodiff-tape step on the same sample
 //!    (forward, backward and the consuming `param_grads`), the unit of
 //!    work of training, plus one online DPO observation
-//!    (`DpoCalibrator::observe_triple` on a 14-token sequence, default
-//!    `DpoConfig`, replay buffer warm): the reference margin and two
-//!    minibatch steps with their `AdamW` updates;
+//!    (`DpoCalibrator::observe_triple` on 3–24-token sequences of in-vocab
+//!    ids, `serve-short`'s lengths, default `DpoConfig`, replay buffer
+//!    warm): the reference margin and two minibatch steps with their
+//!    `AdamW` updates;
 //! 4. **Batch prediction** — `predict_batch` throughput over the Table 3
 //!    evaluation set at 1/2/4 worker threads;
 //! 5. **Fused batch** — the packed same-length-group GEMM path
@@ -46,6 +47,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
+
+/// Token lengths of the DPO observation row: `serve-short`'s request mix.
+const DPO_TOKENS: std::ops::RangeInclusive<usize> = 3..=24;
 
 struct KernelRow {
     name: String,
@@ -404,8 +408,11 @@ fn main() {
     let mut policy = model.clone();
     let mut calibrator = DpoCalibrator::new(&model, dpo);
     let mut rng = StdRng::seed_from_u64(19);
+    let vocab = model.encoder().config().vocab_size as u32;
     let mut next_triple = || PreferenceTriple {
-        tokens: (0..14).map(|_| rng.gen_range(0u32..200)).collect(),
+        tokens: (0..rng.gen_range(DPO_TOKENS))
+            .map(|_| rng.gen_range(0..vocab))
+            .collect(),
         metric: Metric::Cycles,
         y_w: rng.gen_range(1_000..500_000),
         y_l: rng.gen_range(500_000..1_000_000),
@@ -490,7 +497,7 @@ fn main() {
     let short_batch = if quick { 64 } else { 128 };
     let short_len = 24usize;
     let short_seqs: Vec<Vec<u32>> = (0..short_batch)
-        .map(|_| (0..short_len).map(|_| rng.gen_range(0u32..200)).collect())
+        .map(|_| (0..short_len).map(|_| rng.gen_range(0..vocab)).collect())
         .collect();
     let short_oracle: Vec<_> = short_seqs
         .iter()
@@ -516,8 +523,9 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(
         json,
-        "  \"meta\": {{ \"quick\": {quick}, \"available_parallelism\": {}, \"kernel_reps\": {reps}, \"kernel_inner_iters\": {inner} }},",
-        llmulator_nn::available_threads()
+        "  \"meta\": {{ \"quick\": {quick}, \"available_parallelism\": {}, \"avx2\": {}, \"kernel_reps\": {reps}, \"kernel_inner_iters\": {inner} }},",
+        llmulator_nn::available_threads(),
+        llmulator_nn::matrix::gemm_uses_avx2()
     );
     json.push_str("  \"kernels\": [\n");
     for (i, row) in kernels.iter().enumerate() {
@@ -550,7 +558,9 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"dpo_observe\": {{ \"scale\": \"Medium\", \"tokens\": 14, \"minibatch\": {}, \"steps_per_observation\": {}, \"dpo_observe_ms\": {:.4} }},",
+        "  \"dpo_observe\": {{ \"scale\": \"Medium\", \"vocab\": {vocab}, \"min_tokens\": {}, \"max_tokens\": {}, \"minibatch\": {}, \"steps_per_observation\": {}, \"dpo_observe_ms\": {:.4} }},",
+        DPO_TOKENS.start(),
+        DPO_TOKENS.end(),
         dpo.minibatch,
         dpo.steps_per_observation,
         dpo_observe_secs * 1e3

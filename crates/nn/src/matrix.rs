@@ -21,7 +21,7 @@
 //! only `avx2` is enabled, never `fma`: vector lanes round each multiply
 //! and each add exactly as scalar code does, and the `k` order per element
 //! is unchanged, so both copies give the same bits on every host. Nothing
-//! selects the path but the CPU.
+//! selects the path but the CPU; [`gemm_uses_avx2`] reports the choice.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -108,16 +108,25 @@ fn gemm_tile<const R: usize, const TRANS_A: bool>(
     }
 }
 
+/// Whether the GEMM kernels run their AVX2-compiled copy on this host:
+/// true on an x86-64 CPU that reports AVX2 (std caches the detection).
+/// Either way they give the same bits.
+pub fn gemm_uses_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 /// `c = op(a) × b` (see [`gemm_tile`] for the layouts), every element
 /// assigned, on the widest instruction set the host has: [`gemm_avx2`]
-/// when the CPU reports AVX2 (std caches the detection), else
-/// [`gemm_portable`]. Both run the same body, so the output bits do not
-/// depend on the host.
+/// when [`gemm_uses_avx2`], else [`gemm_portable`]. Both run the same
+/// body, so the output bits do not depend on the host.
 fn gemm<const TRANS_A: bool>(a: &[f32], b: &[f32], c: &mut [f32], m: usize, kdim: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
+    if gemm_uses_avx2() {
         // SAFETY: `gemm_avx2` requires only the `avx2` target feature, and
-        // the check above has just confirmed the running CPU supports it.
+        // `gemm_uses_avx2` has just detected it on the running CPU.
         unsafe { gemm_avx2::<TRANS_A>(a, b, c, m, kdim, n) };
         return;
     }
