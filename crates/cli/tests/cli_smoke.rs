@@ -441,3 +441,23 @@ fn serve_stdin_backpressure_answers_every_line_in_order() {
     );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+/// The static-analysis report over every workload suite, pinned byte for
+/// byte: Class I/II, taint verdicts, CFG shapes, static bounds and lints.
+#[test]
+fn analyze_suite_all_matches_the_goldens() {
+    let text = run(&["analyze", "--suite", "all"]);
+    assert!(text.status.success(), "{}", stderr(&text));
+    assert_eq!(
+        stdout(&text),
+        include_str!("golden/analyze_all.txt"),
+        "`analyze --suite all` drifted from tests/golden/analyze_all.txt"
+    );
+    let json = run(&["analyze", "--suite", "all", "--json"]);
+    assert!(json.status.success(), "{}", stderr(&json));
+    assert_eq!(
+        stdout(&json),
+        include_str!("golden/analyze_all.jsonl"),
+        "`analyze --suite all --json` drifted from tests/golden/analyze_all.jsonl"
+    );
+}
