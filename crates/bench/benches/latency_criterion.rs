@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use llmulator::{CachedPredictor, CostModel, MaskOptions, NumericPredictor, Sample};
 use llmulator_baselines::{Gnnhls, TensetMlp, Tlp};
 use llmulator_bench::context::predictor_config;
-use llmulator_ir::analysis;
 use llmulator_token::NumericMode;
 use llmulator_workloads::polybench;
 
@@ -23,11 +22,7 @@ fn bench_prediction_latency(c: &mut Criterion) {
     group.bench_function("llmulator_cold", |b| {
         b.iter(|| std::hint::black_box(ours.predict(&sample)))
     });
-    let classes: Vec<_> = analysis::analyze_program(&kernel.program)
-        .operators
-        .iter()
-        .map(|r| r.class)
-        .collect();
+    let classes = llmulator_ir::operator_classes(&kernel.program);
     let tp = ours.tokenize_sample(&sample);
     let mut cached = CachedPredictor::new(&ours, classes, MaskOptions::default());
     cached.predict(&tp);

@@ -9,7 +9,6 @@
 use crate::context::{budget, median_seconds, predictor_config};
 use llmulator::{CachedPredictor, MaskOptions, NumericPredictor, Sample, SegmentedText};
 use llmulator_eval::Table;
-use llmulator_ir::analysis;
 use llmulator_token::NumericMode;
 use llmulator_workloads::modern;
 
@@ -28,11 +27,7 @@ pub fn measure(
     w: &llmulator_workloads::Workload,
     reps: usize,
 ) -> AccelRow {
-    let classes: Vec<_> = analysis::analyze_program(&w.program)
-        .operators
-        .iter()
-        .map(|r| r.class)
-        .collect();
+    let classes = llmulator_ir::operator_classes(&w.program);
     // Two inputs differing only in the data segment (same token count: each
     // integer scalar changes within its digit width).
     let base = Sample::profile(&w.program, Some(&w.inputs)).expect("profiles");

@@ -7,7 +7,7 @@ use crate::context::{budget, median_seconds, predictor_config};
 use llmulator::{CachedPredictor, MaskOptions, NumericPredictor, SegmentedText};
 use llmulator_eval::Table;
 use llmulator_ir::builder::OperatorBuilder;
-use llmulator_ir::{analysis, Expr, InputData, LValue, Program, Stmt};
+use llmulator_ir::{operator_classes, Expr, InputData, LValue, Program, Stmt};
 use llmulator_token::NumericMode;
 
 /// Builds a program whose input-dependent operator body has roughly
@@ -63,11 +63,7 @@ pub fn run() -> String {
     table.header(["DataDepLen", "DataLength", "NoOptTime", "OptTime"]);
     for &dep in &dep_lens {
         let program = program_with_dep_len(dep);
-        let classes: Vec<_> = analysis::analyze_program(&program)
-            .operators
-            .iter()
-            .map(|r| r.class)
-            .collect();
+        let classes = operator_classes(&program);
         let data_a = InputData::new().with("n", 32i64);
         let data_b = InputData::new().with("n", 48i64);
         let text_a = SegmentedText::from_program(&program, Some(&data_a), None);

@@ -7,7 +7,6 @@
 //! keyed by `(program, inputs)`), so a second run of either command skips
 //! re-profiling entirely.
 
-use crate::ir_analysis;
 use llmulator::{
     CacheStats, CostModel, DatasetCache, DigitCodec, Error, ModelScale, NumericPredictor,
     PredictorConfig, Sample, TrainOptions,
@@ -15,7 +14,8 @@ use llmulator::{
 use llmulator_baselines::{Gnnhls, TensetMlp, Timeloop, Tlp};
 use llmulator_eval::{try_mape_on, Table};
 use llmulator_ir::{
-    analyze_program_bounds, lint_program, Cfg, InputData, OperatorBounds, Program, Severity,
+    analyze_operator_taint, analyze_program_bounds, lint_program, operator_classes,
+    AdaptivityClass, Cfg, InputData, OperatorBounds, Program, Severity,
 };
 use llmulator_sim::Metric;
 use llmulator_synth::{synthesize_cached, DataFormat, SynthesisConfig};
@@ -46,34 +46,33 @@ pub fn profile(program: &Program, data: &InputData) -> Result<String, Error> {
 
 /// `stats`: Table 2 style statistics for a program.
 pub fn stats(program: &Program) -> Result<String, Error> {
-    let graph_len = program.render_graph().chars().count();
-    let op_len = program.render_operators().chars().count();
-    let all_len = program.render().chars().count();
-    let report = ir_analysis::analyze_program(program);
+    let s = llmulator_workloads::program_stats("", program);
     let mut out = String::new();
-    let _ = writeln!(out, "All Len   : {all_len}");
-    let _ = writeln!(out, "Graph Len : {graph_len}");
-    let _ = writeln!(out, "Op Num    : {}", program.graph.op_count());
-    let _ = writeln!(out, "Dyn. Num  : {}", report.dynamic_param_count(program));
-    let _ = writeln!(out, "Op Len    : {op_len}");
+    let _ = writeln!(out, "All Len   : {}", s.all_len);
+    let _ = writeln!(out, "Graph Len : {}", s.graph_len);
+    let _ = writeln!(out, "Op Num    : {}", s.op_num);
+    let _ = writeln!(out, "Dyn. Num  : {}", s.dyn_num);
+    let _ = writeln!(out, "Op Len    : {}", s.op_len);
     Ok(out)
 }
 
 /// `classify`: per-operator Class I/II report.
 pub fn classify(program: &Program) -> Result<String, Error> {
-    let report = ir_analysis::analyze_program(program);
     let mut out = String::new();
-    for r in &report.operators {
-        let class = match r.class {
-            llmulator_ir::OperatorClass::ClassI => "Class I  (input-independent control flow)",
-            llmulator_ir::OperatorClass::ClassII => "Class II (input-dependent control flow)",
+    for op in &program.operators {
+        let t = analyze_operator_taint(op);
+        let class = if t.class.is_static() {
+            "Class I  (input-independent control flow)"
+        } else {
+            "Class II (input-dependent control flow)"
         };
-        let _ = writeln!(out, "{:<24} {class}", r.name.to_string());
-        if !r.dynamic_params.is_empty() {
-            let names: Vec<String> = r.dynamic_params.iter().map(|p| p.to_string()).collect();
+        let _ = writeln!(out, "{:<24} {class}", op.name.to_string());
+        let params = t.sink_params();
+        if !params.is_empty() {
+            let names: Vec<String> = params.iter().map(|p| p.to_string()).collect();
             let _ = writeln!(out, "{:<24}   dynamic params: {}", "", names.join(", "));
         }
-        if r.data_dependent_branches {
+        if t.class == AdaptivityClass::DataAdaptive {
             let _ = writeln!(out, "{:<24}   value-dependent control flow", "");
         }
     }
@@ -114,29 +113,22 @@ pub fn analyze(programs: Vec<(String, Program)>, json: bool) -> Result<String, E
         let report = lint_program(program);
         errors += report.error_count();
         warnings += report.warning_count();
-        let classes = ir_analysis::analyze_program(program);
+        let classes: Vec<&str> = operator_classes(program)
+            .iter()
+            .map(|c| if c.is_static() { "Class I" } else { "Class II" })
+            .collect();
         let taint = llmulator_ir::analyze_program_taint(program);
         let taint_of = |op: &llmulator_ir::Ident| taint.invocations.iter().find(|t| &t.op == op);
-        let class_of = |op: &llmulator_ir::Ident| {
-            classes
-                .operators
-                .iter()
-                .find(|r| &r.name == op)
-                .map(|r| match r.class {
-                    llmulator_ir::OperatorClass::ClassI => "Class I",
-                    llmulator_ir::OperatorClass::ClassII => "Class II",
-                })
-                .unwrap_or("Class ?")
-        };
         if json {
             let ops: Vec<serde_json::Value> = program
                 .operators
                 .iter()
-                .map(|op| {
+                .zip(&classes)
+                .map(|(op, class)| {
                     let cfg = Cfg::build(op);
                     serde_json::json!({
                         "name": op.name.to_string(),
-                        "class": class_of(&op.name),
+                        "class": class,
                         "taint": taint_of(&op.name)
                             .map(taint_json)
                             .unwrap_or(serde_json::Value::Null),
@@ -181,13 +173,12 @@ pub fn analyze(programs: Vec<(String, Program)>, json: bool) -> Result<String, E
         } else {
             let _ = writeln!(out, "== {name} ==");
             let _ = writeln!(out, "adaptivity: {}", taint.class.name());
-            for op in &program.operators {
+            for (op, class) in program.operators.iter().zip(&classes) {
                 let cfg = Cfg::build(op);
                 let _ = writeln!(
                     out,
-                    "operator {:<16}: {}, {}, {} blocks, {} edges, {} loops",
+                    "operator {:<16}: {class}, {}, {} blocks, {} edges, {} loops",
                     op.name.to_string(),
-                    class_of(&op.name),
                     taint_of(&op.name)
                         .map(|t| t.class.name())
                         .unwrap_or("unanalyzed"),

@@ -23,7 +23,7 @@
 //! full `caused by:` source chain instead of a flattened string.
 
 use llmulator::Error;
-use llmulator_ir::{analysis, parse, InputData, Program};
+use llmulator_ir::{parse, InputData, Program};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -373,9 +373,6 @@ pub(crate) fn parse_flag<T: std::str::FromStr>(
             .map_err(|_| Error::InvalidArgument(format!("invalid value for `{flag}`: `{v}`"))),
     }
 }
-
-// Re-exported for the command implementations.
-pub(crate) use analysis as ir_analysis;
 
 #[cfg(test)]
 mod tests {

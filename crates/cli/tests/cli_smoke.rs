@@ -461,3 +461,52 @@ fn analyze_suite_all_matches_the_goldens() {
         "`analyze --suite all --json` drifted from tests/golden/analyze_all.jsonl"
     );
 }
+
+/// An operator whose loop bound reads graph scalar `n` directly: its cost
+/// moves with `n`, so every report must call it Class II with `n` dynamic.
+#[test]
+fn graph_scalar_loop_bound_is_class_ii_everywhere() {
+    const PROGRAM: &str = "void win(float a[64]) {
+  for (int i = 0; i < n; i += 1) {
+    a[i] = 1;
+  }
+}
+
+void graph(int n) {
+  float buf[64];
+  win(buf);
+}
+";
+    let dir = unique_dir("graph_scalar");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let prog = dir.join("win.c");
+    std::fs::write(&prog, PROGRAM).expect("writes");
+    let path = prog.to_str().expect("utf8");
+    let ok = |args: &[&str]| {
+        let out = run(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        stdout(&out)
+    };
+
+    let classify = ok(&["classify", path]);
+    assert!(
+        classify.contains("Class II (input-dependent control flow)"),
+        "{classify}"
+    );
+    assert!(classify.contains("dynamic params: n"), "{classify}");
+    let stats = ok(&["stats", path]);
+    assert!(stats.contains("Dyn. Num  : 1\n"), "{stats}");
+    let analyze = ok(&["analyze", path]);
+    assert!(analyze.contains("Class II, shape-adaptive"), "{analyze}");
+
+    let cycles = |n: &str| {
+        let out = ok(&["profile", path, "--input", n]);
+        out.lines()
+            .find_map(|l| l.strip_prefix("cycles : "))
+            .expect("cycles line")
+            .to_string()
+    };
+    assert_eq!(cycles("n=4"), "52");
+    assert_eq!(cycles("n=40"), "448");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}

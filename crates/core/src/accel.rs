@@ -18,7 +18,7 @@
 
 use crate::masks::{separation_mask, MaskOptions};
 use crate::model::{NumericPredictor, Prediction};
-use llmulator_ir::OperatorClass;
+use llmulator_ir::AdaptivityClass;
 use llmulator_nn::{encode_cached_with, EncoderCache, Matrix, Scratch};
 use llmulator_token::TokenizedProgram;
 
@@ -28,7 +28,7 @@ pub use llmulator_nn::InferStats;
 #[derive(Debug)]
 pub struct CachedPredictor<'m> {
     model: &'m NumericPredictor,
-    classes: Vec<OperatorClass>,
+    classes: Vec<AdaptivityClass>,
     options: MaskOptions,
     cache: Option<EncoderCache>,
     mask: Option<(usize, Matrix)>,
@@ -40,7 +40,7 @@ impl<'m> CachedPredictor<'m> {
     /// Wraps a trained model with operator classifications for masking.
     pub fn new(
         model: &'m NumericPredictor,
-        classes: Vec<OperatorClass>,
+        classes: Vec<AdaptivityClass>,
         options: MaskOptions,
     ) -> CachedPredictor<'m> {
         CachedPredictor {
@@ -103,7 +103,7 @@ mod tests {
     use crate::model::{ModelScale, PredictorConfig};
     use crate::numeric::DigitCodec;
     use llmulator_ir::builder::OperatorBuilder;
-    use llmulator_ir::{analysis, Expr, InputData, LValue, Program, Stmt};
+    use llmulator_ir::{operator_classes, Expr, InputData, LValue, Program, Stmt};
     use llmulator_token::NumericMode;
 
     fn model() -> NumericPredictor {
@@ -141,11 +141,7 @@ mod tests {
     fn first_call_is_cold_then_cache_kicks_in() {
         let m = model();
         let p = program();
-        let classes: Vec<_> = analysis::analyze_program(&p)
-            .operators
-            .iter()
-            .map(|r| r.class)
-            .collect();
+        let classes = operator_classes(&p);
         let mut cached = CachedPredictor::new(&m, classes, MaskOptions::default());
         let tp1 = tokenized(&m, 11);
         let (_, s1) = cached.predict(&tp1);
@@ -162,11 +158,7 @@ mod tests {
     fn identical_input_computes_zero_rows() {
         let m = model();
         let p = program();
-        let classes: Vec<_> = analysis::analyze_program(&p)
-            .operators
-            .iter()
-            .map(|r| r.class)
-            .collect();
+        let classes = operator_classes(&p);
         let mut cached = CachedPredictor::new(&m, classes, MaskOptions::default());
         let tp = tokenized(&m, 7);
         let (pred1, _) = cached.predict(&tp);
@@ -179,11 +171,7 @@ mod tests {
     fn cached_prediction_matches_uncached() {
         let m = model();
         let p = program();
-        let classes: Vec<_> = analysis::analyze_program(&p)
-            .operators
-            .iter()
-            .map(|r| r.class)
-            .collect();
+        let classes = operator_classes(&p);
         let tp1 = tokenized(&m, 11);
         let tp2 = tokenized(&m, 99);
         let mut warm = CachedPredictor::new(&m, classes.clone(), MaskOptions::default());

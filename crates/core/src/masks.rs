@@ -1,13 +1,13 @@
 //! Dynamic control-flow separation (paper Sec. 5.2) as attention masks.
 //!
-//! Operators are classified by the static analysis into Class I
-//! (input-independent control flow) and Class II (input-dependent). Class I
-//! operator tokens have no useful interaction with the `data` segment, so the
+//! Operators are classified by the taint analysis into Class I
+//! (input-independent control flow, [`AdaptivityClass::Static`]) and Class II
+//! (input-dependent: shape- or data-adaptive). Class I operator tokens have no useful interaction with the `data` segment, so the
 //! mask conceals those blocks; optionally, mutually independent operators are
 //! decoupled from each other (the paper's Fig. 6 attention pattern), which is
 //! what makes block caching effective during iterative design exploration.
 
-use llmulator_ir::OperatorClass;
+use llmulator_ir::AdaptivityClass;
 use llmulator_nn::Matrix;
 use llmulator_token::{SegmentKind, TokenizedProgram};
 
@@ -35,12 +35,13 @@ impl Default for MaskOptions {
 
 /// Builds the additive `n × n` separation mask for a tokenized program.
 ///
-/// `classes[i]` is the classification of operator `i`; operators without a
+/// `classes[i]` is the classification of operator `i` (as
+/// [`llmulator_ir::operator_classes`] returns them); operators without a
 /// classification are treated as Class II (conservative — they keep their
 /// data attention).
 pub fn separation_mask(
     tp: &TokenizedProgram,
-    classes: &[OperatorClass],
+    classes: &[AdaptivityClass],
     options: MaskOptions,
 ) -> Matrix {
     let n = tp.tokens.len();
@@ -51,8 +52,7 @@ pub fn separation_mask(
             *slot = Some(seg.kind);
         }
     }
-    let class_of =
-        |op: usize| -> OperatorClass { classes.get(op).copied().unwrap_or(OperatorClass::ClassII) };
+    let class_i = |op: usize| classes.get(op).is_some_and(|c| c.is_static());
     Matrix::from_fn(n, n, |i, j| {
         let (Some(a), Some(b)) = (tag[i], tag[j]) else {
             return 0.0;
@@ -60,7 +60,7 @@ pub fn separation_mask(
         let blocked = match (a, b) {
             (SegmentKind::Operator(op), SegmentKind::Data)
             | (SegmentKind::Data, SegmentKind::Operator(op)) => {
-                options.separate_class_i_from_data && class_of(op) == OperatorClass::ClassI
+                options.separate_class_i_from_data && class_i(op)
             }
             (SegmentKind::Operator(x), SegmentKind::Operator(y)) => {
                 options.decouple_operators && x != y
@@ -120,7 +120,7 @@ mod tests {
         let tp = tokenized();
         let mask = separation_mask(
             &tp,
-            &[OperatorClass::ClassI, OperatorClass::ClassII],
+            &[AdaptivityClass::Static, AdaptivityClass::DataAdaptive],
             MaskOptions::default(),
         );
         // Op0 (Class I) rows 3-4 × Data cols 7-8 blocked, both directions.
@@ -137,6 +137,28 @@ mod tests {
         let tp = tokenized();
         let mask = separation_mask(&tp, &[], MaskOptions::default());
         assert!(mask.get(3, 7) == 0.0, "conservative: keep attention");
+        // Op1 has no class: it keeps its data attention while Op0 is masked.
+        let mask = separation_mask(&tp, &[AdaptivityClass::Static], MaskOptions::default());
+        assert!(mask.get(3, 7) <= BLOCKED);
+        assert!(mask.get(5, 7) == 0.0 && mask.get(8, 6) == 0.0);
+    }
+
+    #[test]
+    fn graph_scalar_bound_keeps_data_attention() {
+        // `win`'s loop bound reads graph scalar `n` directly: its cost moves
+        // with `n`, so the operator is Class II and must see the data.
+        let program = llmulator_ir::parse::parse_program(
+            "void win(float a[64]) {\n  for (int i = 0; i < n; i += 1) {\n    a[i] = 1;\n  }\n}\n\
+             void graph(int n) {\n  float buf[64];\n  win(buf);\n}\n",
+        )
+        .expect("parses");
+        let classes = llmulator_ir::operator_classes(&program);
+        assert_eq!(classes, [AdaptivityClass::ShapeAdaptive]);
+        let tp = tokenized();
+        let mask = separation_mask(&tp, &classes, MaskOptions::default());
+        for (op, data) in [(3, 7), (4, 8), (7, 3), (8, 4)] {
+            assert_eq!(mask.get(op, data), 0.0, "Op0 x Data open at ({op}, {data})");
+        }
     }
 
     #[test]
@@ -144,7 +166,10 @@ mod tests {
         let tp = tokenized();
         let mask = separation_mask(
             &tp,
-            &[OperatorClass::ClassII, OperatorClass::ClassII],
+            &[
+                AdaptivityClass::ShapeAdaptive,
+                AdaptivityClass::DataAdaptive,
+            ],
             MaskOptions {
                 separate_class_i_from_data: true,
                 decouple_operators: true,
@@ -160,7 +185,7 @@ mod tests {
         let tp = tokenized();
         let mask = separation_mask(
             &tp,
-            &[OperatorClass::ClassI],
+            &[AdaptivityClass::Static],
             MaskOptions {
                 separate_class_i_from_data: true,
                 decouple_operators: true,
@@ -179,7 +204,7 @@ mod tests {
         assert!((attended_fraction(&open) - 1.0).abs() < 1e-9);
         let masked = separation_mask(
             &tp,
-            &[OperatorClass::ClassI, OperatorClass::ClassI],
+            &[AdaptivityClass::Static, AdaptivityClass::Static],
             MaskOptions::default(),
         );
         assert!(attended_fraction(&masked) < 1.0);

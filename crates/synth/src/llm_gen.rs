@@ -299,7 +299,7 @@ mod tests {
         assert!(inject_branch(&mut p.operators[0].body));
         assert!(p.operators[0].stmt_count() > before);
         // Now the operator is Class II (value-dependent branch).
-        let report = llmulator_ir::analysis::analyze_operator(&p.operators[0]);
-        assert!(report.data_dependent_branches);
+        let report = llmulator_ir::analyze_operator_taint(&p.operators[0]);
+        assert_eq!(report.class, llmulator_ir::AdaptivityClass::DataAdaptive);
     }
 }

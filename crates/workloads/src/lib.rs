@@ -28,7 +28,7 @@ pub mod polybench;
 pub mod stats;
 pub mod workload;
 
-pub use stats::{stats, WorkloadStats};
+pub use stats::{program_stats, stats, WorkloadStats};
 pub use workload::Workload;
 
 #[cfg(test)]

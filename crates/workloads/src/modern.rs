@@ -644,7 +644,6 @@ pub fn all() -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmulator_ir::analysis;
 
     #[test]
     fn all_fourteen_simulate() {
@@ -668,9 +667,8 @@ mod tests {
     #[test]
     fn every_workload_has_dynamic_control_flow() {
         for w in all() {
-            let report = analysis::analyze_program(&w.program);
             assert!(
-                report.dynamic_param_count(&w.program) >= 1,
+                crate::stats::stats(&w).dyn_num >= 1,
                 "{} should have dynamic params",
                 w.name
             );

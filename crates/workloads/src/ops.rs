@@ -359,8 +359,7 @@ pub fn transpose(name: &str, n: usize) -> Operator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmulator_ir::analysis::analyze_operator;
-    use llmulator_ir::{InputData, OperatorClass, Program};
+    use llmulator_ir::{analyze_operator_taint, AdaptivityClass, InputData, Program};
 
     fn runs(op: Operator, data: InputData) -> u64 {
         let p = Program::single_op(op);
@@ -408,20 +407,20 @@ mod tests {
     #[test]
     fn classification_matches_paper_examples() {
         assert_eq!(
-            analyze_operator(&transpose("t", 8)).class,
-            OperatorClass::ClassI
+            analyze_operator_taint(&transpose("t", 8)).class,
+            AdaptivityClass::Static
         );
         assert_eq!(
-            analyze_operator(&dyn_window2d("w", 8)).class,
-            OperatorClass::ClassII
+            analyze_operator_taint(&dyn_window2d("w", 8)).class,
+            AdaptivityClass::ShapeAdaptive
         );
         assert_eq!(
-            analyze_operator(&anchor_filter("a", 8)).class,
-            OperatorClass::ClassII
+            analyze_operator_taint(&anchor_filter("a", 8)).class,
+            AdaptivityClass::DataAdaptive
         );
         assert_eq!(
-            analyze_operator(&gemm("g", 4, 4, 4)).class,
-            OperatorClass::ClassI
+            analyze_operator_taint(&gemm("g", 4, 4, 4)).class,
+            AdaptivityClass::Static
         );
     }
 

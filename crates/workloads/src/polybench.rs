@@ -527,7 +527,7 @@ mod tests {
         let op = &w.program.operators[0];
         // Top level is a dynamic time loop containing two sweeps.
         assert!(op.loop_depth() >= 3);
-        let report = llmulator_ir::analysis::analyze_operator(op);
-        assert_eq!(report.class, llmulator_ir::OperatorClass::ClassII);
+        let report = llmulator_ir::analyze_operator_taint(op);
+        assert!(!report.class.is_static(), "Class II");
     }
 }

@@ -10,7 +10,7 @@ use llmulator::{
     CachedPredictor, MaskOptions, NumericPredictor, PredictorConfig, Sample, TrainOptions,
 };
 use llmulator_ir::builder::OperatorBuilder;
-use llmulator_ir::{analysis, Expr, InputData, LoopPragma, Program, Stmt};
+use llmulator_ir::{operator_classes, Expr, InputData, LoopPragma, Program, Stmt};
 use llmulator_sim::Metric;
 
 fn conv_candidate(pragma: LoopPragma, mem_delay: u32) -> Program {
@@ -65,11 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Sweep all candidates with the cached predictor.
-    let classes: Vec<_> = analysis::analyze_program(&candidates[0])
-        .operators
-        .iter()
-        .map(|r| r.class)
-        .collect();
+    let classes = operator_classes(&candidates[0]);
     let mut cached = CachedPredictor::new(&model, classes, MaskOptions::default());
     let mut predicted = Vec::new();
     let mut actual = Vec::new();

@@ -7,7 +7,7 @@ use llmulator::{
     ModelScale, NumericPredictor, PredictorConfig, Sample, TrainOptions,
 };
 use llmulator_ir::builder::OperatorBuilder;
-use llmulator_ir::{analysis, Expr, InputData, LValue, OperatorClass, Program, Stmt};
+use llmulator_ir::{operator_classes, AdaptivityClass, Expr, InputData, LValue, Program, Stmt};
 use llmulator_token::NumericMode;
 
 fn model(seed: u64) -> NumericPredictor {
@@ -90,9 +90,8 @@ fn class_i_data_masking_keeps_answers_but_saves_work() {
         })
         .build();
     let program = Program::single_op(op);
-    let report = analysis::analyze_program(&program);
-    assert_eq!(report.operators[0].class, OperatorClass::ClassI);
-    let classes: Vec<_> = report.operators.iter().map(|r| r.class).collect();
+    let classes = operator_classes(&program);
+    assert_eq!(classes, [AdaptivityClass::Static]);
 
     let m = model(2);
     let d1 = InputData::new().with("aux", 11i64);
