@@ -141,8 +141,7 @@ mod tests {
     fn first_call_is_cold_then_cache_kicks_in() {
         let m = model();
         let p = program();
-        let classes = operator_classes(&p);
-        let mut cached = CachedPredictor::new(&m, classes, MaskOptions::default());
+        let mut cached = CachedPredictor::new(&m, operator_classes(&p), MaskOptions::default());
         let tp1 = tokenized(&m, 11);
         let (_, s1) = cached.predict(&tp1);
         assert_eq!(s1.rows_computed, s1.rows_total);
@@ -158,8 +157,7 @@ mod tests {
     fn identical_input_computes_zero_rows() {
         let m = model();
         let p = program();
-        let classes = operator_classes(&p);
-        let mut cached = CachedPredictor::new(&m, classes, MaskOptions::default());
+        let mut cached = CachedPredictor::new(&m, operator_classes(&p), MaskOptions::default());
         let tp = tokenized(&m, 7);
         let (pred1, _) = cached.predict(&tp);
         let (pred2, s2) = cached.predict(&tp);

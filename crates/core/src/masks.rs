@@ -2,10 +2,11 @@
 //!
 //! Operators are classified by the taint analysis into Class I
 //! (input-independent control flow, [`AdaptivityClass::Static`]) and Class II
-//! (input-dependent: shape- or data-adaptive). Class I operator tokens have no useful interaction with the `data` segment, so the
-//! mask conceals those blocks; optionally, mutually independent operators are
-//! decoupled from each other (the paper's Fig. 6 attention pattern), which is
-//! what makes block caching effective during iterative design exploration.
+//! (input-dependent: shape- or data-adaptive). Class I operator tokens have
+//! no useful interaction with the `data` segment, so the mask conceals those
+//! blocks; optionally, mutually independent operators are decoupled from
+//! each other (the paper's Fig. 6 attention pattern), which is what makes
+//! block caching effective during iterative design exploration.
 
 use llmulator_ir::AdaptivityClass;
 use llmulator_nn::Matrix;

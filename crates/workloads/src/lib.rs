@@ -7,7 +7,7 @@
 //!   Table 2 (operator graphs with input-adaptive control flow),
 //! * [`accelerators`] — TPU v1 / Eyeriss / ShiDianNao GEMM loop-schedule
 //!   variants (Sec. 7.4),
-//! * [`stats`] — Table 2 statistics (text lengths, op counts, dynamic
+//! * [`mod@stats`] — Table 2 statistics (text lengths, op counts, dynamic
 //!   parameter counts),
 //! * [`ops`] — the reusable operator constructor library behind them.
 //!
