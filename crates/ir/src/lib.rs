@@ -17,7 +17,7 @@
 //! carries one static input-dependence analysis, [`taint`], the sole source
 //! of LLMulator's split of operators into Class I (input-independent control
 //! flow, [`AdaptivityClass::Static`]) and Class II (input-dependent control
-//! flow, every other class; see [`operator_classes`]). Static bounds
+//! flow, every other class; see [`analysis`]). Static bounds
 //! ([`bounds`]), the CFG ([`mod@cfg`]) and lints ([`lint`]) build on the same IR.
 //!
 //! ```
@@ -41,6 +41,7 @@
 //! assert!(program.render().contains("void gemm"));
 //! ```
 
+pub mod analysis;
 pub mod bounds;
 pub mod builder;
 pub mod cfg;
@@ -58,6 +59,7 @@ pub mod render;
 pub mod stmt;
 pub mod taint;
 
+pub use analysis::operator_classes;
 pub use bounds::{
     analyze_operator_bounds, analyze_program_bounds, CountInterval, LoopConsts, OperatorBounds,
     ProgramBounds, TripBounds,
@@ -75,6 +77,6 @@ pub use op::{Operator, ParamDecl, ParamKind};
 pub use program::Program;
 pub use stmt::{ForLoop, LValue, LoopPragma, Stmt};
 pub use taint::{
-    analyze_operator_taint, analyze_program_taint, operator_classes, AdaptivityClass, Dependence,
-    OperatorTaint, ProgramTaint, TaintInfo,
+    analyze_operator_taint, analyze_program_taint, AdaptivityClass, Dependence, OperatorTaint,
+    ProgramTaint, TaintInfo,
 };

@@ -18,9 +18,10 @@
 //! operator's [`AdaptivityClass`]. This is the crate's one source of the
 //! paper's Class I/II split (Sec. 5.2): Class I operators (control flow
 //! independent of the input) come out [`AdaptivityClass::Static`], Class II
-//! operators come out shape- or data-adaptive. [`operator_classes`] gives the
-//! per-definition classes the separation mask reads; Table 2's "Dyn. Num"
-//! counts [`OperatorTaint::sink_params`]. `sim::compiled` consumes the
+//! operators come out shape- or data-adaptive. [`crate::analysis`] reads
+//! the per-definition classes the separation mask needs off this analysis;
+//! Table 2's "Dyn. Num" counts [`OperatorTaint::sink_params`].
+//! `sim::compiled` consumes the
 //! per-sink verdicts to decide which regions can be retired in bulk at
 //! compile time; the lint pass uses them for fold-to-unconditional and
 //! cost-only-input diagnostics.
@@ -278,19 +279,6 @@ pub fn analyze_operator_taint_seeded(
     }
 }
 
-/// The class of every operator *definition*, in definition order — the
-/// index a tokenized program's `SegmentKind::Operator(i)` carries, so the
-/// separation mask reads `classes[i]` for operator segment `i`. Each
-/// operator is analyzed unseeded: every scalar parameter is a runtime input,
-/// whatever constants individual invocations pass.
-pub fn operator_classes(program: &Program) -> Vec<AdaptivityClass> {
-    program
-        .operators
-        .iter()
-        .map(|op| analyze_operator_taint(op).class)
-        .collect()
-}
-
 /// Analyzes every invocation of a program, seeding scalar parameters from
 /// the invocation arguments: constant-folding arguments are `Const`, other
 /// scalar arguments are shape inputs attributed to the graph scalars they
@@ -473,20 +461,6 @@ mod tests {
         assert_eq!(t.loop_bounds[&0].dep, Dependence::Const);
         assert_eq!(t.const_control_stmts(), t.stmt_count);
         assert!(t.sink_params().is_empty());
-        // A scalar parameter no sink reads leaves the operator static.
-        let unused = OperatorBuilder::new("fixed")
-            .array_param("a", [4])
-            .scalar_param("unused")
-            .loop_nest(&[("i", 4)], |idx| {
-                vec![Stmt::assign(
-                    LValue::store("a", vec![idx[0].clone()]),
-                    Expr::int(0),
-                )]
-            })
-            .build();
-        let t = analyze_operator_taint(&unused);
-        assert_eq!(t.class, AdaptivityClass::Static);
-        assert!(t.sink_params().is_empty());
     }
 
     #[test]
@@ -509,18 +483,6 @@ mod tests {
         // The loop itself executes unconditionally; its body is shape-gated.
         assert_eq!(t.control[0], Dependence::Const);
         assert_eq!(t.control[1], Dependence::InputShape);
-        assert_eq!(t.sink_params(), BTreeSet::from([Ident::new("n")]));
-        // m = n * 2; for i < m — the bound reaches `n` through the local.
-        let indirect = OperatorBuilder::new("indirect")
-            .scalar_param("n")
-            .stmt(Stmt::assign(
-                LValue::var("m"),
-                Expr::var("n") * Expr::int(2),
-            ))
-            .dyn_loop_nest(&[("i", Expr::var("m"))], |_| vec![])
-            .build();
-        let t = analyze_operator_taint(&indirect);
-        assert_eq!(t.class, AdaptivityClass::ShapeAdaptive);
         assert_eq!(t.sink_params(), BTreeSet::from([Ident::new("n")]));
     }
 
@@ -576,13 +538,6 @@ mod tests {
         let t = analyze_operator_taint(&op);
         assert_eq!(t.class, AdaptivityClass::DataAdaptive);
         assert_eq!(t.loop_bounds[&1].dep, Dependence::InputData);
-        // for i < a[0] — a data-adaptive bound with no scalar input.
-        let direct = OperatorBuilder::new("datadep")
-            .array_param("a", [4])
-            .dyn_loop_nest(&[("i", Expr::load("a", vec![Expr::int(0)]))], |_| vec![])
-            .build();
-        let t = analyze_operator_taint(&direct);
-        assert_eq!(t.class, AdaptivityClass::DataAdaptive);
         assert!(t.sink_params().is_empty());
     }
 
@@ -679,34 +634,6 @@ mod tests {
         assert!(AdaptivityClass::Static.is_static());
         assert!(!AdaptivityClass::DataAdaptive.is_static());
         assert_eq!(AdaptivityClass::all().len(), 3);
-    }
-
-    #[test]
-    fn operator_classes_are_per_definition_and_unseeded() {
-        // `win` reads graph scalar `n` directly; `dyn` is invoked with a
-        // constant argument; `fill` is never invoked. Classes follow the
-        // definition order and ignore the invocation constants.
-        let program = crate::parse::parse_program(
-            "void fill(float a[16]) {\n  for (int i = 0; i < 16; i += 1) {\n    a[i] = 0;\n  }\n}\n\
-             void dyn(float a[16], int k) {\n  for (int i = 0; i < k; i += 1) {\n    a[i] = 1;\n  }\n}\n\
-             void win(float a[16]) {\n  for (int i = 0; i < n; i += 1) {\n    a[i] = 1;\n  }\n}\n\
-             void graph(int n) {\n  float buf[16];\n  dyn(buf, 4);\n  win(buf);\n}\n",
-        )
-        .expect("parses");
-        assert_eq!(
-            operator_classes(&program),
-            [
-                AdaptivityClass::Static,
-                AdaptivityClass::ShapeAdaptive,
-                AdaptivityClass::ShapeAdaptive,
-            ]
-        );
-        let win = analyze_operator_taint(&program.operators[2]);
-        assert_eq!(win.sink_params(), BTreeSet::from([Ident::new("n")]));
-        assert_eq!(
-            analyze_program_taint(&program).invocations[0].class,
-            AdaptivityClass::Static
-        );
     }
 
     #[test]
