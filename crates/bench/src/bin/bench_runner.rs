@@ -4,7 +4,9 @@
 //! Five measurement groups:
 //!
 //! 1. **Kernels** — GFLOP/s of the naive triple-loop matmuls versus the
-//!    blocked production kernels at the Medium-scale transformer shapes;
+//!    blocked production kernels at the Medium-scale transformer shapes,
+//!    and the softmax rows of one Medium 256-token forward under a scalar
+//!    `f32::exp` loop versus the dispatched kernel (gated on equal bits);
 //! 2. **Single-sample encode** — latency of one prediction through the old
 //!    autodiff-tape forward pass versus the scratch-backed blocked forward
 //!    (both produce bit-identical outputs);
@@ -50,6 +52,10 @@ use std::time::Instant;
 
 /// Token lengths of the DPO observation row: `serve-short`'s request mix.
 const DPO_TOKENS: std::ops::RangeInclusive<usize> = 3..=24;
+
+/// Softmax rows and columns of one Medium 256-token forward: 2 layers ×
+/// 4 heads × 256 query rows, each over 256 keys.
+const SOFTMAX_SHAPE: (usize, usize) = (2048, 256);
 
 struct KernelRow {
     name: String,
@@ -166,6 +172,57 @@ fn bench_kernels(reps: usize, inner: usize) -> Vec<KernelRow> {
         });
     }
     rows
+}
+
+/// The scalar softmax the production kernel must match bit for bit:
+/// `f32::exp` per entry, the sum in index order.
+fn softmax_libm(row: &mut [f32]) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    if !max.is_finite() {
+        row.fill(1.0 / row.len() as f32);
+        return;
+    }
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    let inv = 1.0 / sum.max(1e-12);
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
+}
+
+/// Seconds per [`SOFTMAX_SHAPE`] pass of [`softmax_libm`] and of the
+/// dispatched `softmax_rows_mut`, after checking that both give the same
+/// bits. Each pass re-softmaxes the previous output in place, so no copy
+/// is timed; `exp` costs the same on any finite input below 88 in size.
+fn bench_softmax(reps: usize, inner: usize) -> (f64, f64) {
+    let (rows, cols) = SOFTMAX_SHAPE;
+    let mut rng = StdRng::seed_from_u64(23);
+    let scores = Matrix::randn(rows, cols, 4.0, &mut rng);
+    let (mut libm, mut dispatched) = (scores.clone(), scores);
+    libm.data_mut().chunks_mut(cols).for_each(softmax_libm);
+    dispatched.softmax_rows_mut();
+    let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&libm),
+        bits(&dispatched),
+        "softmax kernel drifted from the scalar libm loop"
+    );
+    let libm_secs = median_seconds(reps, || {
+        for _ in 0..inner {
+            libm.data_mut().chunks_mut(cols).for_each(softmax_libm);
+            std::hint::black_box(&mut libm);
+        }
+    }) / inner as f64;
+    let dispatched_secs = median_seconds(reps, || {
+        for _ in 0..inner {
+            dispatched.softmax_rows_mut();
+            std::hint::black_box(&mut dispatched);
+        }
+    }) / inner as f64;
+    (libm_secs, dispatched_secs)
 }
 
 /// `--sim`: interpreted vs compiled simulation throughput, per suite, gated
@@ -340,6 +397,8 @@ fn main() {
 
     eprintln!("bench-runner: kernels ({} reps × {} iters)...", reps, inner);
     let kernels = bench_kernels(reps, inner);
+    let softmax_inner = if quick { 2 } else { 20 };
+    let (softmax_libm_secs, softmax_secs) = bench_softmax(reps, softmax_inner);
 
     // --- single-sample forward: naive-kernel baselines vs blocked forward ---
     // `encode_naive` is the pre-optimization per-row implementation (naive
@@ -523,9 +582,10 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(
         json,
-        "  \"meta\": {{ \"quick\": {quick}, \"available_parallelism\": {}, \"avx2\": {}, \"kernel_reps\": {reps}, \"kernel_inner_iters\": {inner} }},",
+        "  \"meta\": {{ \"quick\": {quick}, \"available_parallelism\": {}, \"avx2\": {}, \"vector_exp\": {}, \"kernel_reps\": {reps}, \"kernel_inner_iters\": {inner} }},",
         llmulator_nn::available_threads(),
-        llmulator_nn::matrix::gemm_uses_avx2()
+        llmulator_nn::matrix::gemm_uses_avx2(),
+        llmulator_nn::matrix::softmax_uses_vector_exp()
     );
     json.push_str("  \"kernels\": [\n");
     for (i, row) in kernels.iter().enumerate() {
@@ -540,6 +600,15 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
+    let _ = writeln!(
+        json,
+        "  \"softmax\": {{ \"rows\": {}, \"cols\": {}, \"bit_identical\": true, \"libm_loop_ms\": {:.4}, \"dispatched_ms\": {:.4}, \"speedup\": {:.3} }},",
+        SOFTMAX_SHAPE.0,
+        SOFTMAX_SHAPE.1,
+        softmax_libm_secs * 1e3,
+        softmax_secs * 1e3,
+        softmax_libm_secs / softmax_secs
+    );
     let _ = writeln!(
         json,
         "  \"encode_single_sample\": {{ \"scale\": \"Medium\", \"tokens\": {}, \"naive_rowloop_ms\": {:.4}, \"tape_ms\": {:.4}, \"forward_blocked_ms\": {:.4}, \"speedup_vs_naive\": {:.3}, \"speedup_vs_tape\": {:.3} }},",

@@ -2,12 +2,11 @@
 //!
 //! Hand-rolled on std's [`TcpListener`]/[`TcpStream`] — no network crates.
 //! An accept loop hands each connection to its own reader thread; every
-//! reader funnels requests into the one shared
-//! [`ServePool`](llmulator::ServePool), so requests from *different*
-//! connections that arrive together are fused into one micro-batch. Each
-//! connection pairs its reader with a sequencing writer thread
-//! ([`crate::serve::writer_loop`]), so responses return on the right socket
-//! in that connection's request order.
+//! reader funnels requests into the one shared [`ServePool`], so requests
+//! from *different* connections that arrive together are fused into one
+//! micro-batch. Each connection pairs its reader with a sequencing writer
+//! thread ([`crate::serve::writer_loop`]), so responses return on the right
+//! socket in that connection's request order.
 //!
 //! Shutdown is cooperative: SIGTERM/SIGINT (or a `{"shutdown": true}`
 //! request on any connection) sets [`SHUTDOWN`]; the accept loop stops

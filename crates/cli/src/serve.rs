@@ -1,7 +1,7 @@
 //! `llmulator serve` — a long-lived JSONL prediction daemon.
 //!
-//! The daemon loads a trained model into an [`Engine`](llmulator::Engine)
-//! and answers newline-delimited JSON: one request object per input line,
+//! The daemon loads a trained model into an [`Engine`] and answers
+//! newline-delimited JSON: one request object per input line,
 //! one response object per output line, correlated by the request's `id`
 //! field (echoed verbatim). Malformed lines are answered with a structured
 //! error object — they never kill the process. Two transports share the
@@ -54,9 +54,8 @@
 //! the session memos and the calibrator. The stats reply and the shutdown
 //! line both render from it, so they always agree.
 //!
-//! Requests are micro-batched by a shared
-//! [`ServePool`](llmulator::ServePool): every line buffered when a worker
-//! turns — across *all* connections in TCP mode — is answered in one fused
+//! Requests are micro-batched by a shared [`ServePool`]: every line
+//! buffered when a worker turns — across *all* connections in TCP mode — is answered in one fused
 //! [`Session::predict_micro_batch`](llmulator::Session::predict_micro_batch)
 //! call, bit-identical to serial prediction. Responses come back on each
 //! connection in request order (a sequencing writer reorders out-of-order

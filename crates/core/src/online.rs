@@ -509,9 +509,9 @@ impl CalibratorCore {
     }
 
     /// Folds one drained batch into the working model; returns the number
-    /// of gradient steps applied. The batch is sorted canonically first
-    /// (see [`sort_triples`]), making the update sequence independent of
-    /// the collection schedule.
+    /// of gradient steps applied. The batch is sorted canonically first, by
+    /// (metric, tokens, y_w, y_l), making the update sequence independent
+    /// of the collection schedule.
     pub fn ingest(&mut self, mut triples: Vec<PreferenceTriple>) -> u64 {
         sort_triples(&mut triples);
         let mut steps = 0u64;

@@ -145,8 +145,10 @@ fn scale_mask_max(row: &mut [f32], mask: Option<&[f32]>, scale: f32) -> f32 {
 /// It equals the sequential `f32::max` fold that [`softmax_slice`] takes,
 /// up to the sign of a zero: `f32::max` ignores NaN whichever side it is
 /// on and is otherwise order-independent, and a maximum of `+0.0` versus
-/// `-0.0` changes no `(v - max).exp()`. So `softmax_slice_with_max` gives
-/// bit-identical output with either.
+/// `-0.0` changes no `(v - max).exp()`: it flips only the sign of a zero
+/// difference, and `exp(±0)` is `1.0` in `f32::exp` and in the vector
+/// `exp` alike, which returns `f32::exp`'s bits for every input. So
+/// `softmax_slice_with_max` gives bit-identical output with either.
 fn lane_max(row: &[f32]) -> f32 {
     let mut lanes = [f32::NEG_INFINITY; MAX_LANES];
     let mut chunks = row.chunks_exact(MAX_LANES);

@@ -22,6 +22,19 @@
 //! and each add exactly as scalar code does, and the `k` order per element
 //! is unchanged, so both copies give the same bits on every host. Nothing
 //! selects the path but the CPU; [`gemm_uses_avx2`] reports the choice.
+//!
+//! Softmax's `exp` is the one kernel that does enable `fma`, because its
+//! oracle does. `f32::exp` calls glibc's `expf`, which on x86-64 runs its
+//! FMA build exactly when the CPU has AVX2 and FMA: a short fixed sequence
+//! of double-precision steps (a 32-entry table of `2^(i/32)` and a cubic)
+//! whose multiply-adds the compiler fused. `expf4` replays those steps on
+//! four lanes with the same fusions, so it returns `expf`'s bits for every
+//! `f32` input (an ignored test sweeps all 2³²); lanes that take `expf`'s
+//! special cases (`|x| ≥ 88`, infinities, NaN) call `f32::exp` instead.
+//! The GEMM's oracle rounds every product on its own, so there `fma` would
+//! change bits. The replay runs only on glibc targets whose CPU reports
+//! both features, glibc's own rule; elsewhere softmax keeps the scalar
+//! loop, and [`softmax_uses_vector_exp`] reports the choice.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -47,15 +60,139 @@ pub(crate) fn softmax_slice_with_max(row: &mut [f32], max: f32) {
         }
         return;
     }
+    let sum = exp_shifted(row, max);
+    let inv = 1.0 / sum.max(1e-12);
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
+}
+
+/// Whether softmax's `exp` runs the four-lane replay of glibc's `expf`
+/// (`exp_shifted_fma`) on this host: true on an x86-64 glibc target whose
+/// CPU reports AVX2 and FMA, the rule glibc itself uses to pick that
+/// `expf`. Either way the bits are those of `f32::exp`, unless glibc is
+/// told to ignore the features (`GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA`
+/// picks its SSE2 build, which differs on two inputs; see the tests).
+pub fn softmax_uses_vector_exp() -> bool {
+    #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+    return std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
+    #[cfg(not(all(target_arch = "x86_64", target_env = "gnu")))]
+    false
+}
+
+/// `v = (v - max).exp()` for every entry of `row`, returning the results'
+/// sum added in index order: [`exp_shifted_fma`] when
+/// [`softmax_uses_vector_exp`], else the scalar loop. Same bits either way.
+fn exp_shifted(row: &mut [f32], max: f32) -> f32 {
+    #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+    if softmax_uses_vector_exp() {
+        // SAFETY: `exp_shifted_fma` requires only the `avx2` and `fma`
+        // target features, and `softmax_uses_vector_exp` has just detected
+        // both on the running CPU.
+        return unsafe { exp_shifted_fma(row, max) };
+    }
     let mut sum = 0.0;
     for v in row.iter_mut() {
         *v = (*v - max).exp();
         sum += *v;
     }
-    let inv = 1.0 / sum.max(1e-12);
-    for v in row.iter_mut() {
-        *v *= inv;
+    sum
+}
+
+/// glibc's `__exp2f_data.tab` (`sysdeps/ieee754/flt-32`, `N` = 32): entry
+/// `i` is the bits of `2^(i/N)` minus `i << 47`, so adding `k << 47` for
+/// any `k ≡ i (mod N)` gives the bits of `2^(k/N)`.
+#[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+#[rustfmt::skip]
+const EXP2F_TAB: [u64; 32] = [
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+];
+
+/// [`exp_shifted`] on four lanes at a time: each group of four runs
+/// [`expf4`], or `f32::exp` per entry when a lane needs glibc's special
+/// cases; the `len % 4` tail runs `f32::exp`. The sum keeps index order.
+#[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+#[target_feature(enable = "avx2,fma")]
+fn exp_shifted_fma(row: &mut [f32], max: f32) -> f32 {
+    use std::arch::x86_64::{_mm_loadu_ps, _mm_set1_ps, _mm_storeu_ps, _mm_sub_ps};
+    let maxv = _mm_set1_ps(max);
+    let mut sum = 0.0;
+    let mut chunks = row.chunks_exact_mut(4);
+    for c in &mut chunks {
+        // SAFETY: `c` is four contiguous `f32`s; both accesses are unaligned.
+        let x = _mm_sub_ps(unsafe { _mm_loadu_ps(c.as_ptr()) }, maxv);
+        match expf4(x) {
+            // SAFETY: as for the load.
+            Some(y) => unsafe { _mm_storeu_ps(c.as_mut_ptr(), y) },
+            None => {
+                for v in c.iter_mut() {
+                    *v = (*v - max).exp();
+                }
+            }
+        }
+        for &v in c.iter() {
+            sum += v;
+        }
     }
+    for v in chunks.into_remainder() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    sum
+}
+
+/// glibc's `expf` on four lanes, step for step as its FMA build computes
+/// it in double precision: `x·N/ln2 = k + r` with `k` rounded to an
+/// integer by the `SHIFT` trick, `2^(k/N)` from [`EXP2F_TAB`] and `2^(r/N)`
+/// from a cubic. `None` when a lane has `|x| ≥ 88`, is infinite or NaN:
+/// glibc's `abstop >= top12(88.0f)` branch, left to `f32::exp`.
+#[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn expf4(x: std::arch::x86_64::__m128) -> Option<std::arch::x86_64::__m128> {
+    use std::arch::x86_64::*;
+    /// `N/ln2`, glibc's `InvLn2N`.
+    const INV_LN2_N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+    /// `0x1.8p52`: adding it rounds to an integer, ties to even.
+    const SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+    /// glibc's `poly_scaled`, highest degree first.
+    const C: [f64; 3] = [
+        f64::from_bits(0x3ebc_6af8_4b91_2394),
+        f64::from_bits(0x3f2e_bfce_50fa_c4f3),
+        f64::from_bits(0x3f96_2e42_ff0c_52d6),
+    ];
+    // `|x|`'s bits ≥ `0x42b0_0000` is `abstop >= 0x42b`; both sides are
+    // below 2³¹, so the signed compare is exact.
+    let abs = _mm_and_si128(_mm_castps_si128(x), _mm_set1_epi32(0x7fff_ffff));
+    if _mm_movemask_epi8(_mm_cmpgt_epi32(abs, _mm_set1_epi32(0x42af_ffff))) != 0 {
+        return None;
+    }
+    let xd = _mm256_cvtps_pd(x);
+    let inv_ln2_n = _mm256_set1_pd(INV_LN2_N);
+    let shift = _mm256_set1_pd(SHIFT);
+    // glibc's `z = InvLn2N * xd` feeds `kd = z + SHIFT` and `r = z - kd`
+    // (after `kd -= SHIFT`); its FMA build fuses the product into both.
+    let kd = _mm256_fmadd_pd(inv_ln2_n, xd, shift);
+    let ki = _mm256_castpd_si256(kd);
+    let r = _mm256_fmsub_pd(inv_ln2_n, xd, _mm256_sub_pd(kd, shift));
+    // s = 2^(k/N) = T[ki % N] + (ki << 47), as bits.
+    let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+    // SAFETY: every index is masked into 0..32, inside `EXP2F_TAB`.
+    let t = unsafe { _mm256_i64gather_epi64::<8>(EXP2F_TAB.as_ptr().cast(), idx) };
+    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+    // y = (C0·r + C1)·r² + (C2·r + 1), then y·s, narrowed to f32.
+    let z = _mm256_fmadd_pd(_mm256_set1_pd(C[0]), r, _mm256_set1_pd(C[1]));
+    let r2 = _mm256_mul_pd(r, r);
+    let y = _mm256_fmadd_pd(_mm256_set1_pd(C[2]), r, _mm256_set1_pd(1.0));
+    let y = _mm256_mul_pd(_mm256_fmadd_pd(z, r2, y), s);
+    Some(_mm256_cvtpd_ps(y))
 }
 
 /// Output rows per register tile of [`gemm`].
@@ -883,6 +1020,161 @@ mod tests {
         m.softmax_rows_mut();
         softmax_slice(&mut row);
         assert_eq!(m.row(0), &row[..]);
+    }
+
+    /// The scalar `exp` pass the dispatched [`exp_shifted`] must reproduce,
+    /// written here so the check does not lean on the production path.
+    fn exp_shifted_libm(row: &mut [f32], max: f32) -> f32 {
+        let mut sum = 0.0;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        sum
+    }
+
+    /// Equal bits, or both NaN (of any payload).
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn assert_exp_matches_libm(input: &[f32], max: f32, what: &str) {
+        let (mut fast, mut slow) = (input.to_vec(), input.to_vec());
+        let (fast_sum, slow_sum) = (
+            exp_shifted(&mut fast, max),
+            exp_shifted_libm(&mut slow, max),
+        );
+        for ((&v, a), b) in input.iter().zip(&fast).zip(&slow) {
+            let x = v - max;
+            assert!(
+                same_bits(*a, *b),
+                "{what}: exp({x:e} = {:#010x}) gave {:#010x}, libm {:#010x}",
+                x.to_bits(),
+                a.to_bits(),
+                b.to_bits()
+            );
+        }
+        assert!(
+            same_bits(fast_sum, slow_sum),
+            "{what}: sum {fast_sum} vs {slow_sum}"
+        );
+    }
+
+    #[test]
+    fn vector_exp_is_bit_identical_to_libm() {
+        // With a zero maximum `v - max` is `v`, so each input is the `x` fed
+        // to `expf`; on a host without the vector path both sides run
+        // `f32::exp`. 2²⁰ bit patterns strided over all of `u32`.
+        let strided: Vec<f32> = (0..1u32 << 20)
+            .map(|i| f32::from_bits(i.wrapping_mul(4099).wrapping_add(i >> 7)))
+            .collect();
+        assert_exp_matches_libm(&strided, 0.0, "strided");
+        // The only two inputs (found by the full sweep) where glibc's FMA and
+        // SSE2 builds differ, and whose result moves when `r` is computed
+        // without the fused multiply-add.
+        let fused_r = [0x4202_422f, 0xc27c_65d9, 0x4202_422f, 0xc27c_65d9].map(f32::from_bits);
+        assert_exp_matches_libm(&fused_r, 0.0, "fused r");
+        // Every table index `k % 32`: x near k·ln2/32 for k over the whole
+        // non-special range, with both neighbours.
+        let ln2_n = std::f64::consts::LN_2 / 32.0;
+        let table: Vec<f32> = (-88 * 32 * 3 / 2..=88 * 32 * 3 / 2)
+            .flat_map(|k: i32| {
+                let x = (f64::from(k) * ln2_n) as f32;
+                [x.next_down(), x, x.next_up()]
+            })
+            .collect();
+        assert_exp_matches_libm(&table, 0.0, "table indices");
+        // Both sides of glibc's `abstop` threshold (0x42a vs 0x42b: |x| = 88).
+        let threshold: Vec<f32> = (0x42a0_0000u32..0x42a0_0100)
+            .chain(0x42af_ff00..0x42b0_0100)
+            .chain(0x42bf_ff00..0x42c0_0000)
+            .flat_map(|b| [f32::from_bits(b), -f32::from_bits(b)])
+            .collect();
+        assert_exp_matches_libm(&threshold, 0.0, "abstop threshold");
+        // Subnormal results: x from -87.4 down to -103.9.
+        let subnormal: Vec<f32> = (0..=100_000)
+            .map(|i| -87.4 - 16.5 * i as f32 / 100_000.0)
+            .collect();
+        assert_exp_matches_libm(&subnormal, 0.0, "subnormal results");
+        // Zeros, infinities and NaNs, in every lane of a group of four and
+        // in the tail.
+        let special = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::MIN_POSITIVE,
+            -f32::from_bits(1),
+        ];
+        for (i, &s) in special.iter().enumerate() {
+            for at in 0..9 {
+                let mut row: Vec<f32> = (0..9).map(|j| -0.5 * j as f32).collect();
+                row[at] = s;
+                assert_exp_matches_libm(&row, 0.0, &format!("special #{i} at {at}"));
+            }
+        }
+    }
+
+    #[test]
+    fn vector_softmax_is_bit_identical_on_every_tail_and_mask() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let softmax_libm = |row: &mut [f32]| {
+            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            if !max.is_finite() {
+                row.fill(1.0 / row.len() as f32);
+                return;
+            }
+            let inv = 1.0 / exp_shifted_libm(row, max).max(1e-12);
+            for v in row.iter_mut() {
+                *v *= inv;
+            }
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for len in 0..10 {
+            for case in 0..4 {
+                let mut row: Vec<f32> = (0..len).map(|_| rng.gen_range(-30.0..30.0)).collect();
+                match case {
+                    // Masked entries at every other column.
+                    1 => row.iter_mut().step_by(2).for_each(|v| *v += -1e9),
+                    // A fully masked row: every score the same -1e9.
+                    2 => row.fill(-1e9),
+                    3 => row.fill(f32::NEG_INFINITY),
+                    _ => {}
+                }
+                let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                assert_exp_matches_libm(&row, max, &format!("len {len} case {case}"));
+                let (mut fast, mut slow) = (row.clone(), row);
+                softmax_slice(&mut fast);
+                softmax_libm(&mut slow);
+                assert_eq!(bits(&fast), bits(&slow), "softmax len {len} case {case}");
+            }
+        }
+    }
+
+    /// Every `f32` bit pattern, under a minute optimized: run with
+    /// `cargo test --release -p llmulator-nn -- --ignored`.
+    #[test]
+    #[ignore]
+    fn vector_exp_matches_libm_on_every_f32() {
+        let mut mismatches = 0u64;
+        let (mut fast, mut slow) = (vec![0.0f32; 1 << 16], vec![0.0f32; 1 << 16]);
+        for hi in 0..1u32 << 16 {
+            for (lo, (a, b)) in fast.iter_mut().zip(&mut slow).enumerate() {
+                *a = f32::from_bits(hi << 16 | lo as u32);
+                *b = *a;
+            }
+            exp_shifted(&mut fast, 0.0);
+            exp_shifted_libm(&mut slow, 0.0);
+            mismatches += fast
+                .iter()
+                .zip(&slow)
+                .filter(|(a, b)| !same_bits(**a, **b))
+                .count() as u64;
+        }
+        assert_eq!(mismatches, 0, "f32 inputs whose exp differs from libm");
     }
 
     #[test]
