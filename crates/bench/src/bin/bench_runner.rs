@@ -1,7 +1,7 @@
 //! Machine-readable perf trajectory: times the nn kernel layer and the
 //! prediction stack, writing `BENCH_nn_kernels.json` at the repo root.
 //!
-//! Five measurement groups:
+//! Four measurement groups:
 //!
 //! 1. **Kernels** — GFLOP/s of the naive triple-loop matmuls versus the
 //!    blocked production kernels at the Medium-scale transformer shapes,
@@ -17,13 +17,10 @@
 //!    ids, `serve-short`'s lengths, default `DpoConfig`, replay buffer
 //!    warm): the reference margin and two minibatch steps with their
 //!    `AdamW` updates;
-//! 4. **Batch prediction** — `predict_batch` throughput over the Table 3
-//!    evaluation set at 1/2/4 worker threads;
-//! 5. **Fused batch** — the packed same-length-group GEMM path
-//!    (`predict_batch_threads`) versus the per-sample baseline
-//!    (`predict_batch_unfused_threads`) at matched thread counts, gated on
-//!    an exact-equality check against the per-sample oracle, plus a
-//!    short-sequence synthetic batch where per-sample GEMMs amortize worst.
+//! 4. **Batch prediction** — `predict_batch_threads` throughput over the
+//!    Table 3 evaluation set at 1/2/4 worker threads, gated on an
+//!    exact-equality check against serial `predict_sample` at each thread
+//!    count.
 //!
 //! Usage: `cargo run --release -p llmulator-bench --bin bench-runner --
 //! [--quick] [--sim] [--out PATH]`. `--quick` shrinks repetitions and the
@@ -36,12 +33,9 @@
 //! the interpreter, the compiled engine and compile-once reuse back to back;
 //! speedups are the medians of those per-round ratios, with their min/max.
 
-use llmulator::{
-    fusion_group_key, group_by_key, DpoCalibrator, DpoConfig, NumericPredictor, PreferenceTriple,
-    Sample,
-};
+use llmulator::{DpoCalibrator, DpoConfig, NumericPredictor, PreferenceTriple, Sample};
 use llmulator_bench::context::{all_workloads, median_seconds, predictor_config, EVAL_FACTORS};
-use llmulator_nn::{Graph, Matrix, Scratch, TransformerConfig};
+use llmulator_nn::{Graph, Matrix, Scratch};
 use llmulator_sim::Metric;
 use llmulator_synth::DataFormat;
 use llmulator_token::NumericMode;
@@ -76,17 +70,6 @@ impl KernelRow {
     fn speedup(&self) -> f64 {
         self.naive_secs / self.blocked_secs
     }
-}
-
-/// Approximate encoder + head FLOPs for one prediction at effective
-/// sequence length `n` (matmul/attention terms only; layer norms and
-/// softmax are excluded, so the derived GFLOP/s is a mild underestimate).
-fn forward_flops(cfg: &TransformerConfig, n: usize, head_out: usize, metrics: usize) -> f64 {
-    let (nf, d, dff) = (n as f64, cfg.d_model as f64, cfg.d_ff as f64);
-    // Per layer: q/k/v/wo projections, block-diagonal attention
-    // (scores + weighted values), and the two FFN projections.
-    let per_layer = 8.0 * nf * d * d + 4.0 * nf * nf * d + 4.0 * nf * d * dff;
-    cfg.n_layers as f64 * per_layer + (metrics * 2) as f64 * d * head_out as f64
 }
 
 fn bench_kernels(reps: usize, inner: usize) -> Vec<KernelRow> {
@@ -498,6 +481,16 @@ fn main() {
         .iter()
         .flat_map(|w| llmulator_bench::context::workload_samples(w, factors, DataFormat::Direct))
         .collect();
+    // Correctness gate before timing anything: the batch path must be
+    // bit-identical to serial per-sample prediction at every thread count.
+    let oracle: Vec<_> = eval.iter().map(|s| model.predict_sample(s)).collect();
+    for threads in [1usize, 2, 4] {
+        assert_eq!(
+            model.predict_batch_threads(&eval, threads),
+            oracle,
+            "batch path drifted from the per-sample oracle (threads={threads})"
+        );
+    }
     let batch_reps = if quick { 3 } else { 5 };
     let mut throughput = Vec::new();
     for &threads in &[1usize, 2, 4] {
@@ -507,75 +500,6 @@ fn main() {
         throughput.push((threads, eval.len() as f64 / secs));
     }
     let speedup_4_vs_1 = throughput[2].1 / throughput[0].1;
-
-    // --- fused same-length batched GEMM inference vs the per-sample path ---
-    eprintln!("bench-runner: fused batch inference...");
-    let cfg = *model.encoder().config();
-    // Correctness gate before timing anything: the fused path must be
-    // bit-identical to the per-sample oracle on the whole eval suite.
-    let oracle: Vec<_> = eval.iter().map(|s| model.predict_sample(s)).collect();
-    for threads in [1usize, 2, 4] {
-        assert_eq!(
-            model.predict_batch_threads(&eval, threads),
-            oracle,
-            "fused batch path drifted from the per-sample oracle (threads={threads})"
-        );
-    }
-    let eval_tokens: Vec<Vec<u32>> = eval
-        .iter()
-        .map(|s| model.tokenize_sample(s).tokens)
-        .collect();
-    let eval_keys: Vec<usize> = eval_tokens
-        .iter()
-        .map(|t| fusion_group_key(t.len(), cfg.max_len))
-        .collect();
-    let eval_groups = group_by_key(&eval_keys).len();
-    let head_out = model.config().codec.width * model.config().codec.base as usize;
-    let eval_flops: f64 = eval_keys
-        .iter()
-        .map(|&n| forward_flops(&cfg, n, head_out, 4))
-        .sum();
-    let mut fused_rows = Vec::new();
-    for &threads in &[1usize, 2, 4] {
-        let fused_secs = median_seconds(batch_reps, || {
-            std::hint::black_box(model.predict_batch_threads(&eval, threads));
-        });
-        let unfused_secs = median_seconds(batch_reps, || {
-            std::hint::black_box(model.predict_batch_unfused_threads(&eval, threads));
-        });
-        fused_rows.push((
-            threads,
-            eval.len() as f64 / fused_secs,
-            eval.len() as f64 / unfused_secs,
-            eval_flops / fused_secs / 1e9,
-        ));
-    }
-    // Short sequences are where per-sample GEMMs amortize worst: a packed
-    // 128-sample group turns 24-row matmuls into 3072-row ones.
-    let mut rng = StdRng::seed_from_u64(17);
-    let short_batch = if quick { 64 } else { 128 };
-    let short_len = 24usize;
-    let short_seqs: Vec<Vec<u32>> = (0..short_batch)
-        .map(|_| (0..short_len).map(|_| rng.gen_range(0..vocab)).collect())
-        .collect();
-    let short_oracle: Vec<_> = short_seqs
-        .iter()
-        .map(|s| model.predict_tokens(s, None))
-        .collect();
-    assert_eq!(
-        model.predict_tokens_batch_threads(&short_seqs, 1),
-        short_oracle,
-        "fused short-sequence batch drifted from the per-sample oracle"
-    );
-    let short_fused_secs = median_seconds(batch_reps, || {
-        std::hint::black_box(model.predict_tokens_batch_threads(&short_seqs, 1));
-    });
-    let mut scratch = Scratch::new();
-    let short_unfused_secs = median_seconds(batch_reps, || {
-        for s in &short_seqs {
-            std::hint::black_box(model.predict_tokens_with(s, None, &mut scratch));
-        }
-    });
 
     // --- render JSON ---
     let mut json = String::new();
@@ -635,6 +559,7 @@ fn main() {
         dpo_observe_secs * 1e3
     );
     json.push_str("  \"batch_predict\": {\n");
+    json.push_str("    \"bit_identical_to_oracle\": true,\n");
     let _ = writeln!(json, "    \"samples\": {},", eval.len());
     json.push_str("    \"throughput\": [\n");
     for (i, (threads, sps)) in throughput.iter().enumerate() {
@@ -646,30 +571,6 @@ fn main() {
     }
     json.push_str("    ],\n");
     let _ = writeln!(json, "    \"speedup_4_vs_1\": {speedup_4_vs_1:.3}");
-    json.push_str("  },\n");
-    json.push_str("  \"batch_fused\": {\n");
-    json.push_str("    \"bit_identical_to_oracle\": true,\n");
-    let _ = writeln!(
-        json,
-        "    \"eval_set\": {{ \"samples\": {}, \"length_groups\": {eval_groups}, \"per_thread\": [",
-        eval.len()
-    );
-    for (i, (threads, fused_sps, per_sample_sps, gflops)) in fused_rows.iter().enumerate() {
-        let comma = if i + 1 < fused_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{ \"threads\": {threads}, \"fused_samples_per_sec\": {fused_sps:.3}, \"per_sample_samples_per_sec\": {per_sample_sps:.3}, \"speedup\": {:.3}, \"fused_gflops\": {gflops:.3} }}{comma}",
-            fused_sps / per_sample_sps
-        );
-    }
-    json.push_str("    ] },\n");
-    let _ = writeln!(
-        json,
-        "    \"short_seq\": {{ \"samples\": {short_batch}, \"tokens\": {short_len}, \"threads\": 1, \"fused_samples_per_sec\": {:.3}, \"per_sample_samples_per_sec\": {:.3}, \"speedup\": {:.3} }}",
-        short_batch as f64 / short_fused_secs,
-        short_batch as f64 / short_unfused_secs,
-        short_unfused_secs / short_fused_secs
-    );
     json.push_str("  }\n}\n");
 
     std::fs::write(&out_path, &json).expect("write bench json");

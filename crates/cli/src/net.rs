@@ -3,7 +3,7 @@
 //! Hand-rolled on std's [`TcpListener`]/[`TcpStream`] — no network crates.
 //! An accept loop hands each connection to its own reader thread; every
 //! reader funnels requests into the one shared [`ServePool`], so requests
-//! from *different* connections that arrive together are fused into one
+//! from *different* connections that arrive together share one
 //! micro-batch. Each connection pairs its reader with a sequencing writer
 //! thread ([`crate::serve::writer_loop`]), so responses return on the right
 //! socket in that connection's request order.

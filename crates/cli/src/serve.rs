@@ -55,7 +55,7 @@
 //! line both render from it, so they always agree.
 //!
 //! Requests are micro-batched by a shared [`ServePool`]: every line
-//! buffered when a worker turns — across *all* connections in TCP mode — is answered in one fused
+//! buffered when a worker turns — across *all* connections in TCP mode — is answered in one
 //! [`Session::predict_micro_batch`](llmulator::Session::predict_micro_batch)
 //! call, bit-identical to serial prediction. Responses come back on each
 //! connection in request order (a sequencing writer reorders out-of-order

@@ -10,37 +10,6 @@ use llmulator_ir::{InputData, Program};
 use llmulator_token::{SegmentKind, TokenizedProgram, Tokenizer};
 use serde::{Deserialize, Serialize};
 
-/// Batch-fusion grouping key: two token sequences can be packed into the
-/// same per-layer GEMM ([`llmulator_nn::forward_packed`]) iff they share an
-/// effective (truncated) length, so the key is the token count clamped to
-/// the model's context limit.
-///
-/// This is [`llmulator_nn::TransformerConfig::effective_len`] for callers
-/// that have only the context limit at hand (benches, tests); the predictor
-/// itself groups through its encoder's config so grouping and the packed
-/// forward's compatibility assertion share one source of truth.
-pub fn fusion_group_key(token_count: usize, max_len: usize) -> usize {
-    token_count.min(max_len)
-}
-
-/// Partitions the indices `0..keys.len()` into same-key groups.
-///
-/// Groups appear in order of first key occurrence and indices inside a
-/// group keep input order, so the partition is a deterministic permutation
-/// of the input: every index appears in exactly one group, and unpacking
-/// group results by index restores input order regardless of how groups
-/// were scheduled across threads.
-pub fn group_by_key(keys: &[usize]) -> Vec<(usize, Vec<usize>)> {
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-    groups
-}
-
 /// The textual form of one prediction input, split by segment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SegmentedText {
@@ -175,24 +144,6 @@ mod tests {
         let tp = st.tokenize(&Tokenizer::progressive(), 24);
         assert!(tp.tokens.len() <= 24);
         assert!(!tp.segments.is_empty());
-    }
-
-    #[test]
-    fn fusion_group_key_is_effective_length() {
-        assert_eq!(fusion_group_key(0, 256), 0);
-        assert_eq!(fusion_group_key(100, 256), 100);
-        assert_eq!(fusion_group_key(256, 256), 256);
-        assert_eq!(fusion_group_key(1000, 256), 256, "truncated lengths merge");
-    }
-
-    #[test]
-    fn group_by_key_partitions_in_first_seen_order() {
-        let groups = group_by_key(&[5, 3, 5, 5, 0, 3]);
-        assert_eq!(
-            groups,
-            vec![(5, vec![0, 2, 3]), (3, vec![1, 5]), (0, vec![4])]
-        );
-        assert!(group_by_key(&[]).is_empty());
     }
 
     #[test]

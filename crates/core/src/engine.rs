@@ -26,13 +26,14 @@
 //!
 //! Every request takes one path: [`Session::predict_micro_batch`] resolves,
 //! validates and records feedback for each request, answers the sequences
-//! the session's memo holds, then packs the remaining inputs of all
-//! requests sharing a predictor version into one
-//! fused [`NumericPredictor::predict_tokens_batch_threads`] call (a group
-//! of exactly one sequence runs through the session's scratch arena
-//! instead, bit-identical to the fused path). [`Session::predict`] is that
-//! path with a batch of one, so an engine answer is exactly equal to
-//! calling the predictor directly, alone or micro-batched, memoized or not.
+//! the session's memo holds, then runs one forward pass per remaining
+//! sequence ([`NumericPredictor::predict_tokens_with`]): on the session's
+//! scratch arena when there is one miss or one thread, otherwise as one
+//! parallel map over the misses of all requests sharing a predictor
+//! version ([`NumericPredictor::predict_tokens_batch_threads`]).
+//! [`Session::predict`] is that path with a batch of one, so an engine
+//! answer is exactly equal to calling the predictor directly, alone or
+//! micro-batched, memoized or not.
 
 use crate::calibrate::PreferenceTriple;
 use crate::counters::{Counter, Counters};
@@ -55,7 +56,7 @@ use std::sync::{Arc, RwLock};
 ///
 /// Baselines come in through the blanket [`CostModel`] supertrait; the
 /// [`NumericPredictor`] additionally exposes itself via
-/// [`ServableModel::as_predictor`], which unlocks the fused token path,
+/// [`ServableModel::as_predictor`], which unlocks the token path,
 /// pre-tokenized inputs, digit confidences and calibration feedback.
 pub trait ServableModel: CostModel + Send + Sync {
     /// The numeric predictor behind this model, when it is one.
@@ -551,7 +552,7 @@ impl PredictRequest {
     /// A copy of the request with any calibration feedback stripped. The
     /// serve pool uses this when retrying a request singly after a
     /// contained batch panic: `predict_micro_batch` records feedback during
-    /// planning (before the fused predict runs), so replaying the original
+    /// planning (before the forward passes run), so replaying the original
     /// request would count the triple twice.
     #[must_use]
     pub fn without_feedback(&self) -> PredictRequest {
@@ -649,9 +650,8 @@ impl<'e> Session<'e> {
     /// of one.
     ///
     /// Predictor-backed answers are bit-identical to calling
-    /// [`NumericPredictor::predict_batch_threads`] /
-    /// [`NumericPredictor::predict_tokens_batch_threads`] directly with the
-    /// same inputs.
+    /// [`NumericPredictor::predict_sample`] /
+    /// [`NumericPredictor::predict_tokens`] directly on each input.
     ///
     /// # Errors
     ///
@@ -676,13 +676,13 @@ impl<'e> Session<'e> {
     /// remaining requests is then looked up in the session's memo under
     /// the epoch its request resolved to (see [`Session`]); a request whose
     /// sequences all hit runs no forward. The misses of all requests that
-    /// share a predictor version are packed into **one**
-    /// [`NumericPredictor::predict_tokens_batch_threads`] call (one fused
-    /// GEMM per layer per length group), memoized and split back per
-    /// request; a group of exactly one miss runs through the session's
-    /// scratch arena instead (bit-identical, allocation-free in steady
-    /// state). Responses keep request order, and each equals the response
-    /// the request would get in a batch of its own on a fresh session.
+    /// share a predictor version run one forward pass each: as one
+    /// [`NumericPredictor::predict_tokens_batch_threads`] parallel map, or
+    /// on the session's scratch arena (allocation-free in steady state)
+    /// when there is one miss or the group asks for one thread. They are
+    /// memoized and split back per request. Responses keep request order,
+    /// and each equals the response the request would get in a batch of
+    /// its own on a fresh session.
     pub fn predict_micro_batch(
         &mut self,
         requests: &[PredictRequest],
@@ -722,9 +722,9 @@ impl<'e> Session<'e> {
             }
         }
 
-        // Fuse plans sharing a predictor version (and so an epoch): look
-        // every sequence up in the memo, run one packed batch over the
-        // misses, memoize them, then split the items back in request order.
+        // Group plans sharing a predictor version (and so an epoch): look
+        // every sequence up in the memo, predict the misses, memoize them,
+        // then split the items back in request order.
         let (mut hits, mut misses) = (0, 0);
         let mut remaining = plans;
         while let Some(first) = remaining.first() {
@@ -748,22 +748,12 @@ impl<'e> Session<'e> {
             }
             hits += items.len() - todo.len();
             misses += todo.len();
-            let preds = match todo.as_slice() {
-                [] => Vec::new(),
-                [tokens] => {
-                    let (seq, pooled) = llmulator_nn::forward(
-                        predictor.encoder(),
-                        predictor.store(),
-                        tokens,
-                        None,
-                        &mut self.scratch,
-                    );
-                    let preds = predictor.decode_pooled_rows(&pooled);
-                    self.scratch.recycle(seq);
-                    self.scratch.recycle(pooled);
-                    preds
-                }
-                _ => predictor.predict_tokens_batch_threads(&todo, threads),
+            let preds = if threads == 1 || todo.len() == 1 {
+                todo.iter()
+                    .map(|tokens| predictor.predict_tokens_with(tokens, None, &mut self.scratch))
+                    .collect()
+            } else {
+                predictor.predict_tokens_batch_threads(&todo, threads)
             };
             let mut fresh = Vec::with_capacity(todo.len());
             for (tokens, pred) in todo.into_iter().zip(&preds) {
@@ -813,7 +803,7 @@ impl<'e> Session<'e> {
     /// Validates request `index` against the model it resolved to. A
     /// baseline request is answered into `response` on the spot; a
     /// predictor request has its feedback recorded and comes back as a
-    /// [`Plan`] for the fused executor.
+    /// [`Plan`] for the batch executor.
     fn plan<'m>(
         &self,
         index: usize,
@@ -884,7 +874,7 @@ impl<'e> Session<'e> {
     }
 }
 
-/// A validated predictor request waiting for its fused group.
+/// A validated predictor request waiting for its version's group.
 struct Plan<'m> {
     /// Index of the request, and of its answer slot.
     request: usize,
@@ -1105,7 +1095,10 @@ mod tests {
         let resolved = engine.resolve(None).expect("default registered");
         let predictor = resolved.model.as_predictor().expect("is a predictor");
         let samples: Vec<Sample> = [4usize, 8, 4, 12].iter().map(|&n| sample(n)).collect();
-        let oracle = predictor.predict_batch_threads(&samples, 2);
+        let oracle: Vec<Prediction> = samples
+            .iter()
+            .map(|s| predictor.predict_sample(s))
+            .collect();
 
         let mut session = engine.session();
         let mut request = PredictRequest::new();
@@ -1131,7 +1124,7 @@ mod tests {
         let resolved = engine.resolve(None).expect("default");
         let predictor = resolved.model.as_predictor().expect("predictor");
         let tokens: Vec<u32> = vec![3, 5, 7, 9, 11];
-        let oracle = predictor.predict_tokens_batch_threads(std::slice::from_ref(&tokens), 1);
+        let oracle = predictor.predict_tokens(&tokens, None);
         let mut session = engine.session();
         // Serve the same request repeatedly: the session scratch path must
         // stay exact in steady state, not just on first use.
@@ -1140,12 +1133,31 @@ mod tests {
                 .predict(&PredictRequest::tokens(tokens.clone()).threads(1))
                 .expect("serves");
             let item = &response.items[0];
-            for (mv, mp) in item.metrics.iter().zip(&oracle[0].per_metric) {
+            for (mv, mp) in item.metrics.iter().zip(&oracle.per_metric) {
                 assert_eq!(mv.value.to_bits(), mp.value.to_bits(), "round {round}");
                 assert_eq!(mv.digits.as_deref(), Some(mp.digits.as_slice()));
             }
         }
         assert_eq!(session.served(), 3);
+    }
+
+    #[test]
+    fn single_thread_misses_reuse_the_session_scratch() {
+        let engine = EngineConfig::new().threads(1).build();
+        engine.register_predictor("default", tiny_predictor(3));
+        let mut session = engine.session();
+        session
+            .predict(&PredictRequest::tokens(vec![3, 5, 7, 9]))
+            .expect("serves");
+        let pooled = session.scratch.pooled();
+        assert!(pooled > 0, "the miss ran on the session's scratch");
+        // A different sequence of the same length is a second miss: its
+        // forward reuses the buffers the first one pooled and adds none.
+        session
+            .predict(&PredictRequest::tokens(vec![2, 4, 6, 8]))
+            .expect("serves");
+        assert_eq!(memo(&engine), (0, 2));
+        assert_eq!(session.scratch.pooled(), pooled);
     }
 
     #[test]
@@ -1242,10 +1254,12 @@ mod tests {
         let mut session = engine.session();
         let results = session.predict_micro_batch(&requests);
         assert_eq!(results.len(), 5);
-        // Request 0 and 3 were fused into one batch; answers must equal the
-        // unfused oracle exactly.
-        let oracle = predictor
-            .predict_tokens_batch_threads(&[vec![1, 2, 3], vec![4, 5], vec![6, 7, 8, 9]], 2);
+        // Request 0 and 3 ran in one batch; answers must equal serial
+        // per-sequence predictions exactly.
+        let oracle: Vec<Prediction> = [vec![1, 2, 3], vec![4, 5], vec![6, 7, 8, 9]]
+            .iter()
+            .map(|tokens| predictor.predict_tokens(tokens, None))
+            .collect();
         let r0 = results[0].as_ref().expect("served");
         assert_eq!(
             r0.items[0].value(Metric::Cycles),
@@ -1287,7 +1301,7 @@ mod tests {
             .collect();
         let plain = session.predict_micro_batch(&requests);
         // A wire-scale override serves bit-identically to the default
-        // instead of fanning out one thread per pack unit.
+        // instead of fanning out one thread per sequence.
         let huge: Vec<PredictRequest> = requests
             .iter()
             .map(|r| r.clone().threads(usize::MAX))

@@ -66,7 +66,7 @@ pub use calibrate::{
 };
 pub use counters::{Counter, Counters};
 pub use dataset::{CostModel, Dataset, Sample};
-pub use encode::{fusion_group_key, group_by_key, SegmentedText};
+pub use encode::SegmentedText;
 pub use engine::{
     Engine, EngineConfig, Feedback, ItemPrediction, MetricValue, PredictInput, PredictRequest,
     PredictResponse, Resolved, ServableModel, Session,

@@ -340,11 +340,8 @@ impl NumericPredictor {
     }
 
     /// Decodes metric predictions from a pooled representation (pure matrix
-    /// math — shared by the tape and cached inference paths).
-    ///
-    /// This is the per-sample decode the pre-fusion batch path runs; it is
-    /// kept as the oracle for the batched
-    /// [`NumericPredictor::decode_pooled_rows`].
+    /// math — shared by the tape, the forward and the cached inference
+    /// paths).
     pub fn decode_pooled(&self, pooled: &Matrix) -> Prediction {
         let per_metric = Metric::all()
             .iter()
@@ -358,18 +355,19 @@ impl NumericPredictor {
     }
 
     /// Decodes one [`Prediction`] per row of a packed pooled matrix
-    /// (`B × d_model`, as produced by [`llmulator_nn::forward_packed`]) —
-    /// the batched decode behind [`NumericPredictor::predict_batch_threads`].
+    /// (`B × d_model`, as produced by [`llmulator_nn::forward_packed`]).
     ///
     /// Each metric head runs as a single `B × d_model × (width·base)` GEMM
     /// for the whole pack (the blocked kernel is bit-identical per row), so
     /// every row decodes exactly as `decode_pooled` would on that row alone.
+    /// Nothing in the prediction path calls it: it is kept for the
+    /// benchmark's trace replay, which times `forward_packed`.
     pub fn decode_pooled_rows(&self, pooled: &Matrix) -> Vec<Prediction> {
         let mut per_row: Vec<Vec<MetricPrediction>> = (0..pooled.rows())
             .map(|_| Vec::with_capacity(self.heads.len()))
             .collect();
         for (&metric, h) in Metric::all().iter().zip(&self.heads) {
-            // One fused head GEMM for all rows.
+            // One head GEMM for all rows.
             let mut logits = pooled.matmul(self.store.get(h.w));
             let bias = self.store.get(h.b).row(0);
             for (r, metrics) in per_row.iter_mut().enumerate() {
@@ -453,93 +451,31 @@ impl NumericPredictor {
         self.predict_batch_threads(samples, llmulator_nn::available_threads())
     }
 
-    /// Predicts a batch of samples with batch-level kernel fusion: samples
-    /// are tokenized in parallel, grouped by effective sequence length
-    /// ([`crate::encode::fusion_group_key`]), and each group runs through
-    /// one packed GEMM per transformer layer
-    /// ([`llmulator_nn::forward_packed`]) instead of one forward pass per
-    /// sample. Groups fan out across up to `threads` scoped worker threads
-    /// (each with its own scratch arena).
+    /// Predicts a batch of samples, one forward pass per sample, fanned
+    /// out across up to `threads` scoped worker threads (each with its own
+    /// scratch arena). Each worker tokenizes and predicts its samples in
+    /// one pass.
     ///
     /// Results keep input order and are bit-identical to serial
-    /// [`NumericPredictor::predict_sample`] calls regardless of thread
-    /// count or group composition.
+    /// [`NumericPredictor::predict_sample`] calls at any thread count.
     pub fn predict_batch_threads(&self, samples: &[Sample], threads: usize) -> Vec<Prediction> {
-        let seqs: Vec<Vec<u32>> =
-            llmulator_nn::par_map(samples, threads, |s| self.tokenize_sample(s).tokens);
-        self.predict_tokens_batch_threads(&seqs, threads)
-    }
-
-    /// The pre-fusion batch path — one forward pass per sample, fanned out
-    /// at sample granularity — kept as the test oracle and perf baseline
-    /// for the fused [`NumericPredictor::predict_batch_threads`] (the role
-    /// the `*_naive` kernels play in `llmulator-nn`).
-    pub fn predict_batch_unfused_threads(
-        &self,
-        samples: &[Sample],
-        threads: usize,
-    ) -> Vec<Prediction> {
-        llmulator_nn::train::par_map_init(samples, threads, Scratch::new, |scratch, s| {
+        llmulator_nn::par_map_init(samples, threads, Scratch::new, |scratch, s| {
             let tp = self.tokenize_sample(s);
             self.predict_tokens_with(&tp.tokens, None, scratch)
         })
     }
 
-    /// Fused batched prediction from raw token sequences (the core of
-    /// [`NumericPredictor::predict_batch_threads`], exposed for callers
-    /// that pre-tokenize).
+    /// [`NumericPredictor::predict_batch_threads`] for callers that
+    /// pre-tokenize: one [`NumericPredictor::predict_tokens_with`] per
+    /// sequence, with one scratch arena per worker thread.
     pub fn predict_tokens_batch_threads(
         &self,
         seqs: &[Vec<u32>],
         threads: usize,
     ) -> Vec<Prediction> {
-        if seqs.is_empty() {
-            return Vec::new();
-        }
-        // Group by the encoder's own effective-length rule — the same
-        // `TransformerConfig` that `forward_packed` asserts pack
-        // compatibility against, so grouping and packing can never drift.
-        let encoder_cfg = *self.encoder.config();
-        let keys: Vec<usize> = seqs
-            .iter()
-            .map(|s| encoder_cfg.effective_len(s.len()))
-            .collect();
-        // Split each same-length group into balanced chunks so (a) thread
-        // fan-out survives one dominant group and (b) a pack's per-stage
-        // activation working set stays L2-resident — beyond ~512 packed
-        // rows the layer stages stream from outer cache levels and the
-        // fusion gain inverts (measured on the 1-vCPU build container).
-        // Packing is bit-identical at any group size, so the split never
-        // changes results.
-        const PACK_ROWS: usize = 512;
-        let chunk_cap = seqs.len().div_ceil(threads.max(1)).max(1);
-        let units: Vec<Vec<usize>> = crate::encode::group_by_key(&keys)
-            .into_iter()
-            .flat_map(|(len, idxs)| {
-                let cap = chunk_cap.min((PACK_ROWS / len.max(1)).max(1));
-                idxs.chunks(cap).map(<[usize]>::to_vec).collect::<Vec<_>>()
-            })
-            .collect();
-        let unit_preds =
-            llmulator_nn::train::par_map_init(&units, threads, Scratch::new, |scratch, unit| {
-                let group: Vec<&[u32]> = unit.iter().map(|&i| seqs[i].as_slice()).collect();
-                let (seq, pooled) =
-                    llmulator_nn::forward_packed(&self.encoder, &self.store, &group, scratch);
-                let preds = self.decode_pooled_rows(&pooled);
-                scratch.recycle(seq);
-                scratch.recycle(pooled);
-                preds
-            });
-        // Unpack back to input order.
-        let mut out: Vec<Option<Prediction>> = vec![None; seqs.len()];
-        for (unit, preds) in units.iter().zip(unit_preds) {
-            for (&i, p) in unit.iter().zip(preds) {
-                out[i] = Some(p);
-            }
-        }
-        out.into_iter()
-            .map(|p| p.expect("every sample predicted exactly once"))
-            .collect()
+        llmulator_nn::par_map_init(seqs, threads, Scratch::new, |scratch, tokens| {
+            self.predict_tokens_with(tokens, None, scratch)
+        })
     }
 
     /// Builds the tape node for `log π(digits | tokens)` of one metric
@@ -823,10 +759,8 @@ mod tests {
             .collect();
         let oracle: Vec<Prediction> = samples.iter().map(|s| model.predict_sample(s)).collect();
         for threads in [1usize, 2, 4] {
-            let fused = model.predict_batch_threads(&samples, threads);
-            assert_eq!(fused, oracle, "threads={threads}");
-            let unfused = model.predict_batch_unfused_threads(&samples, threads);
-            assert_eq!(unfused, oracle, "unfused threads={threads}");
+            let batch = model.predict_batch_threads(&samples, threads);
+            assert_eq!(batch, oracle, "threads={threads}");
         }
     }
 
@@ -835,9 +769,9 @@ mod tests {
         let model = NumericPredictor::new(tiny_config());
         assert!(model.predict_tokens_batch_threads(&[], 4).is_empty());
         let seqs = vec![Vec::new(), vec![3u32, 5, 7], Vec::new()];
-        let fused = model.predict_tokens_batch_threads(&seqs, 2);
+        let batch = model.predict_tokens_batch_threads(&seqs, 2);
         let oracle: Vec<Prediction> = seqs.iter().map(|s| model.predict_tokens(s, None)).collect();
-        assert_eq!(fused, oracle, "empty sequences group and decode");
+        assert_eq!(batch, oracle, "empty sequences decode");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! requests into one [`ServePool`]: a fixed set of worker threads sharing a
 //! single [`Engine`] through per-worker [`crate::Session`]s, fed by a
 //! central bounded queue. Workers drain the queue in micro-batches, so
-//! requests from *different* connections that arrive together are packed
-//! into one fused [`crate::Session::predict_micro_batch`] call — the
+//! requests from *different* connections that arrive together are answered
+//! by one [`crate::Session::predict_micro_batch`] call — the
 //! cross-connection generalization of the stdin daemon's per-turn batching,
 //! with answers bit-identical to serving each request alone.
 //!
@@ -13,7 +13,7 @@
 //!
 //! * **Backpressure** — workers pop at most
 //!   [`PoolConfig::max_batch`] jobs per turn, so one giant burst cannot
-//!   monopolize a fused batch;
+//!   monopolize a micro-batch;
 //! * **Load-shedding** — a submission that would push the queue past
 //!   [`PoolConfig::max_queue`] is answered *immediately* with
 //!   [`Error::Overloaded`] instead of waiting. Clients see a structured
@@ -209,7 +209,7 @@ pub struct LatencySummary {
 pub struct PoolConfig {
     /// Worker threads (each owns a [`crate::Session`]); clamped ≥ 1.
     pub workers: usize,
-    /// Maximum jobs fused into one micro-batch; clamped ≥ 1.
+    /// Maximum jobs taken into one micro-batch; clamped ≥ 1.
     pub max_batch: usize,
     /// Queue depth beyond which submissions are shed; clamped ≥ 1.
     pub max_queue: usize,
@@ -463,7 +463,7 @@ fn worker_loop(engine: &Engine, shared: &PoolShared) {
 
 /// One worker's serving loop: pop a micro-batch (blocking while the queue
 /// is empty and open), shed expired jobs, apply injected delays, answer
-/// forced-error jobs, run the rest through a fused (unwind-protected)
+/// forced-error jobs, run the rest through one (unwind-protected)
 /// [`crate::Session::predict_micro_batch`] call, record latencies, run the
 /// completion callbacks, repeat. Exits when the queue is closed *and*
 /// empty, so a drain completes all accepted work.

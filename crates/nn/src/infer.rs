@@ -6,18 +6,18 @@
 //! kernels in [`crate::matrix`] and the [`Scratch`] arena, so steady-state
 //! inference allocates nothing. Two entry points run it:
 //!
-//! * [`forward`] and [`forward_packed`] — the hot path behind every
-//!   prediction, bit-identical to the autodiff tape forward in
-//!   [`Transformer::encode`]. It packs a group of same-length sequences
-//!   into one activation matrix, so each per-layer projection runs as a
-//!   single blocked GEMM for the whole group, while attention stays
-//!   block-diagonal with an optional per-sample mask. [`forward`] is a pack
-//!   of one, and every packed sample is bit-identical to [`forward`] on that
-//!   sample alone. Each head's scores are one GEMM on the transposed `k`
-//!   head block, and the softmax row max is taken over eight lanes (see
-//!   `lane_max` for the `±0`/NaN argument). `attention_head` is also the
-//!   forward of the tape's fused [`crate::Graph::attention`] node, so
-//!   training and inference run one attention kernel;
+//! * [`forward`] — the hot path behind every prediction, one sequence per
+//!   call, bit-identical to the autodiff tape forward in
+//!   [`Transformer::encode`]. Each head's scores are one GEMM on the
+//!   transposed `k` head block, and the softmax row max is taken over eight
+//!   lanes (see `lane_max` for the `±0`/NaN argument). `attention_head` is
+//!   also the forward of the tape's fused [`crate::Graph::attention`] node,
+//!   so training and inference run one attention kernel. The same kernel
+//!   can pack a group of same-length sequences into one activation matrix
+//!   ([`forward_packed`]: one GEMM per projection for the group, attention
+//!   block-diagonal), every packed sample bit-identical to [`forward`] on
+//!   that sample alone. Nothing in the prediction path packs; the benchmark's
+//!   trace replay is its only caller;
 //! * [`encode_cached`] — the paper's *dynamic prediction acceleration*
 //!   (Sec. 5.3). When one segment of the input (an operator, or the `data`
 //!   scalars) changes between predictions, only the rows that changed, or
@@ -357,8 +357,7 @@ fn encoder_layer(
 }
 
 /// Full-sequence forward pass on the blocked kernels, allocation-free via
-/// `scratch` — the production prediction path, run as [`forward_packed`]'s
-/// kernel with a pack of one.
+/// `scratch` — the production prediction path, one sequence per call.
 ///
 /// Computes the identical sequence of floating-point operations as the
 /// autodiff tape forward ([`Transformer::encode`]) without building a tape,
@@ -380,7 +379,7 @@ pub fn forward(
     forward_kernel(t, store, std::slice::from_ref(&tokens), mask, scratch)
 }
 
-/// Fused batch forward pass over a group of sequences sharing one effective
+/// Packed batch forward pass over a group of sequences sharing one effective
 /// (truncated) length `n`: all `B` samples are packed row-wise into a single
 /// `B·n × d` activation matrix and every per-layer projection (`q`/`k`/`v`,
 /// `wo`, and both FFN matmuls) runs as **one** blocked GEMM for the whole
@@ -398,11 +397,14 @@ pub fn forward(
 /// Recycle both returned matrices into `scratch` to keep steady-state
 /// batch inference allocation-free.
 ///
+/// Nothing in the prediction path calls this: batches run one [`forward`]
+/// per sequence, which measured as fast once the GEMM and softmax were
+/// vectorized. It is kept for the benchmark's trace replay.
+///
 /// # Panics
 ///
 /// Panics if `seqs` is empty or the sequences' effective lengths
-/// ([`crate::TransformerConfig::effective_len`]) differ — group mixed-length
-/// batches with `llmulator`'s length partitioner first.
+/// ([`crate::TransformerConfig::effective_len`]) differ.
 pub fn forward_packed(
     t: &Transformer,
     store: &ParamStore,

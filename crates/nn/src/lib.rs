@@ -20,12 +20,12 @@
 //!   zips the compiler vectorizes, each element keeping its expression,
 //! * [`Transformer`] — a pre-norm encoder with *pluggable additive attention
 //!   masks* (the hook for LLMulator's dynamic control-flow separation),
-//! * [`infer::forward_packed`] / [`infer::forward`] — the production
-//!   forward pass (tape-free, scratch-backed), one kernel: same-length
-//!   sequences packed into one blocked GEMM per layer per group, and
-//!   [`infer::forward`] a pack of one with an optional attention mask,
-//!   bit-identical per sample to the tape and the [`infer::encode_naive`]
-//!   oracle,
+//! * [`infer::forward`] — the production forward pass (tape-free,
+//!   scratch-backed, one sequence with an optional attention mask),
+//!   bit-identical to the tape and the [`infer::encode_naive`] oracle. Its
+//!   kernel also packs same-length sequences into one blocked GEMM per
+//!   layer ([`infer::forward_packed`]); nothing in the prediction path
+//!   calls that, and it is kept only for the benchmark's trace replay,
 //! * [`infer::encode_cached`] — the same kernel's layer body run only on
 //!   the rows a changed token reaches under the attention mask, with every
 //!   other row served from the previous call's cache (LLMulator's dynamic

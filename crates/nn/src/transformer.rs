@@ -46,9 +46,8 @@ impl TransformerConfig {
     /// every encoder path (tape, blocked, cached, packed) actually
     /// processes after truncation to `max_len`.
     ///
-    /// This is the batch-fusion grouping key: two sequences can share a
-    /// packed per-layer GEMM ([`crate::infer::forward_packed`]) iff their
-    /// effective lengths match.
+    /// Two sequences can share a packed per-layer GEMM
+    /// ([`crate::infer::forward_packed`]) iff their effective lengths match.
     pub fn effective_len(&self, token_count: usize) -> usize {
         token_count.min(self.max_len)
     }

@@ -2,9 +2,7 @@
 //! invariants: digit codec round trips, tokenizer linearity, renderer/parser
 //! round trips, simulator monotonicity and metric properties.
 
-use llmulator::{
-    beam_search, fusion_group_key, group_by_key, Dataset, DigitCodec, DigitDistribution, Sample,
-};
+use llmulator::{beam_search, Dataset, DigitCodec, DigitDistribution, Sample};
 use llmulator_ir::builder::OperatorBuilder;
 use llmulator_ir::{Expr, InputData, LValue, Program, Stmt};
 use llmulator_nn::Matrix;
@@ -499,55 +497,17 @@ proptest! {
             .total_cycles;
         prop_assert!(large > small, "{large} > {small}");
     }
-
-    /// Grouping token sequences by fused-batch key is a permutation-invariant
-    /// partition: every index lands in exactly one group, groups are
-    /// key-homogeneous, and indices inside a group keep input order — the
-    /// properties the fused `predict_batch` unpack step relies on to restore
-    /// input order.
-    #[test]
-    fn grouping_by_length_is_a_permutation_partition(
-        n in 0usize..40, max_len in 1usize..20, seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let lens: Vec<usize> = (0..n).map(|_| rng.gen_range(0usize..30)).collect();
-        let keys: Vec<usize> = lens.iter().map(|&l| fusion_group_key(l, max_len)).collect();
-        let groups = group_by_key(&keys);
-        let mut seen = vec![false; n];
-        let mut first_seen = Vec::new();
-        for (key, idxs) in &groups {
-            prop_assert!(!idxs.is_empty(), "no empty groups");
-            first_seen.push(*key);
-            let mut prev = None;
-            for &i in idxs {
-                prop_assert!(i < n && !seen[i], "index {} appears exactly once", i);
-                seen[i] = true;
-                prop_assert_eq!(keys[i], *key, "group is key-homogeneous");
-                prop_assert!(prev.is_none_or(|p| p < i), "input order kept");
-                prev = Some(i);
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s), "partition covers every index");
-        // Groups appear in first-occurrence order and keys are unique.
-        let mut expected = Vec::new();
-        for &k in &keys {
-            if !expected.contains(&k) {
-                expected.push(k);
-            }
-        }
-        prop_assert_eq!(first_seen, expected);
-    }
 }
 
-// The fused batch forward packs whole groups into shared GEMMs, so its
-// bit-identity to the per-sample oracle gets its own (expensive) property:
-// arbitrary mixed-length batches, decoded through the full prediction path,
-// compared for exact equality at several thread counts.
+// The batch path's bit-identity to serial per-sample prediction gets its
+// own (expensive) properties: arbitrary mixed-length batches, decoded
+// through the full prediction path, compared for exact equality at several
+// thread counts, directly and through the engine.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn fused_predict_batch_is_bit_identical_for_mixed_lengths(seed in 0u64..1000) {
+    fn predict_batch_is_bit_identical_for_mixed_lengths(seed in 0u64..1000) {
         use llmulator::{ModelScale, NumericPredictor, PredictorConfig};
         use llmulator_token::NumericMode;
 
@@ -570,16 +530,16 @@ proptest! {
             .collect();
         let oracle: Vec<_> = seqs.iter().map(|s| model.predict_tokens(s, None)).collect();
         for threads in [1usize, 2, 4] {
-            let fused = model.predict_tokens_batch_threads(&seqs, threads);
-            prop_assert_eq!(&fused, &oracle, "threads={}", threads);
+            let batch = model.predict_tokens_batch_threads(&seqs, threads);
+            prop_assert_eq!(&batch, &oracle, "threads={}", threads);
         }
     }
 
     /// Acceptance pin for the serving API: `Session`-based engine
-    /// predictions are bit-identical to
-    /// `NumericPredictor::predict_tokens_batch_threads` for arbitrary
-    /// batches — whether the batch arrives as one multi-input request or as
-    /// many micro-batched single-input requests.
+    /// predictions are bit-identical to serial
+    /// `NumericPredictor::predict_tokens` calls for arbitrary batches —
+    /// whether the batch arrives as one multi-input request or as many
+    /// micro-batched single-input requests.
     #[test]
     fn engine_session_predictions_are_bit_identical_to_direct_batches(seed in 0u64..1000) {
         use llmulator::{
@@ -604,7 +564,7 @@ proptest! {
             })
             .collect();
         let threads = rng.gen_range(1usize..4);
-        let oracle = model.predict_tokens_batch_threads(&seqs, threads);
+        let oracle: Vec<_> = seqs.iter().map(|s| model.predict_tokens(s, None)).collect();
 
         let engine = EngineConfig::new().threads(threads).build();
         engine.register_predictor("default", model);
